@@ -169,22 +169,6 @@ func BenchmarkLargeMesh256(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeMesh256Sharded is the same scenario on the shard-parallel
-// engine (4 shards of 64 tiles). Compare against BenchmarkLargeMesh256 to
-// measure the sharded engine's speedup — which requires GOMAXPROCS >= 4;
-// on fewer CPUs the shard workers time-slice and the number reports the
-// engine's coordination overhead instead. The body is shared with the
-// benchcore regression harness through
-// experiments.CoreBenchLargeMesh256Sharded.
-func BenchmarkLargeMesh256Sharded(b *testing.B) {
-	b.ReportAllocs() // body shared with the benchcore regression harness
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CoreBenchLargeMesh256Sharded(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulation speed (accesses per
 // second) on one representative run.
 func BenchmarkSimulatorThroughput(b *testing.B) {

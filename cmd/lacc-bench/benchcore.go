@@ -85,13 +85,6 @@ var coreBenchmarks = []struct {
 			}
 		}
 	}},
-	{"LargeMesh256Sharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.CoreBenchLargeMesh256Sharded(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}},
 }
 
 // runBenchCore measures the core benchmarks, emits results (JSON or a

@@ -45,7 +45,6 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "workload randomness seed")
 		benches   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 21)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "shard-parallel engine workers per simulation (0/1 = sequential; >1 is not run-to-run deterministic)")
 		quick     = flag.Bool("quick", false, "reduced machine (16 cores, scale 0.25) for a fast pass")
 		timing    = flag.Bool("time", true, "report wall-clock time per experiment")
 		jsonOut   = flag.Bool("json", false, "benchcore: emit results as JSON to stdout")
@@ -127,11 +126,7 @@ func main() {
 		Scale:       *scale,
 		Seed:        *seed,
 		Parallelism: *parallel,
-		Shards:      *shards,
 		Session:     session,
-	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards %d is negative", *shards))
 	}
 	if *quick {
 		opts.Cores = 16

@@ -145,11 +145,7 @@ func TestGoldenLargeMesh256(t *testing.T) {
 }
 
 // TestGoldenLargeMesh1024 pins a 1024-core 32x32 machine — sixteen times
-// the paper's core count, the scale the sharded engine targets. The row is
-// generated (and must be regenerated) on the sequential engine: sharded
-// runs with more than one worker are not run-to-run deterministic, so the
-// bit-exact pin stays sequential and the sharded engine is held to the
-// bounded-divergence contract by internal/sim's differential tests.
+// the paper's core count.
 func TestGoldenLargeMesh1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-core simulation is slow; skipped with -short")

@@ -212,33 +212,3 @@ func TestRejectsTimestampConfig(t *testing.T) {
 		t.Fatal("UseTimestamp config accepted")
 	}
 }
-
-// TestShardedConfigBounded: a Config carrying Shards > 1 must pass
-// verification unchanged. The checker's single-step drive requires the
-// sequential engine, and CheckValues (mandatory here) already forces it
-// (sim.Config.Shards documents the fallback), so the sharded machine's
-// checked state space is identical to the sequential one — asserted by
-// comparing the exhaustive run against an unsharded baseline.
-func TestShardedConfigBounded(t *testing.T) {
-	base := shallow(sim.ProtocolAdaptive, 0)
-	sharded := base
-	sharded.Config.Shards = sharded.Config.Cores
-	sharded.Config.EpochCycles = 64
-
-	baseRep, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shRep, err := Run(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shRep.Violation != nil {
-		t.Fatalf("sharded config violation: %s: %s",
-			shRep.Violation.Kind, shRep.Violation.Detail)
-	}
-	if shRep.States != baseRep.States || shRep.Transitions != baseRep.Transitions {
-		t.Fatalf("sharded config changed the checked state space: %d/%d states, %d/%d transitions",
-			shRep.States, baseRep.States, shRep.Transitions, baseRep.Transitions)
-	}
-}

@@ -7,7 +7,6 @@ package dram
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lacc/internal/mem"
 )
@@ -44,16 +43,11 @@ func DefaultTiles(n, width, height int) []int {
 	return tiles
 }
 
-// Model is the memory-controller array. A Model built by New is not safe
-// for concurrent use; Clone returns handles sharing the controller queues
-// through atomic updates for the sharded engine's workers.
+// Model is the memory-controller array. A Model is not safe for concurrent
+// use.
 type Model struct {
 	cfg      Config
-	nextFree []uint64
-
-	// concurrent switches queue updates to atomic compare-and-swap loops.
-	// Set only on clones.
-	concurrent bool
+	nextFree []mem.Cycle
 
 	// Reads and Writes count line/word transfers per direction.
 	Reads, Writes uint64
@@ -77,24 +71,7 @@ func New(cfg Config) *Model {
 	if cfg.LatencyCycles < 0 {
 		panic("dram: negative latency")
 	}
-	return &Model{cfg: cfg, nextFree: make([]uint64, cfg.Controllers)}
-}
-
-// Clone returns a handle onto the same controller array for one concurrent
-// worker: the next-free queues are shared (workers observe each other's
-// queueing delay) while the traffic counters are private, merged afterwards
-// with AddCounters. The clone performs queue updates atomically; the
-// original must stay quiescent while clones are live.
-func (m *Model) Clone() *Model {
-	return &Model{cfg: m.cfg, nextFree: m.nextFree, concurrent: true}
-}
-
-// AddCounters folds a clone's private traffic counters into m.
-func (m *Model) AddCounters(o *Model) {
-	m.Reads += o.Reads
-	m.Writes += o.Writes
-	m.BytesMoved += o.BytesMoved
-	m.QueueCycles += o.QueueCycles
+	return &Model{cfg: cfg, nextFree: make([]mem.Cycle, cfg.Controllers)}
 }
 
 // Reset frees every controller and zeroes the traffic counters, returning
@@ -153,26 +130,11 @@ func (m *Model) service(c int, bytes int, at mem.Cycle) mem.Cycle {
 	if transfer == 0 {
 		transfer = 1
 	}
-	var start mem.Cycle
-	if m.concurrent {
-		p := &m.nextFree[c]
-		for {
-			cur := atomic.LoadUint64(p)
-			start = at
-			if free := mem.Cycle(cur); free > start {
-				start = free
-			}
-			if atomic.CompareAndSwapUint64(p, cur, uint64(start+transfer)) {
-				break
-			}
-		}
-	} else {
-		start = at
-		if free := mem.Cycle(m.nextFree[c]); free > start {
-			start = free
-		}
-		m.nextFree[c] = uint64(start + transfer)
+	start := at
+	if free := m.nextFree[c]; free > start {
+		start = free
 	}
+	m.nextFree[c] = start + transfer
 	m.QueueCycles += uint64(start - at)
 	m.BytesMoved += uint64(bytes)
 	return start + transfer + mem.Cycle(m.cfg.LatencyCycles)

@@ -62,20 +62,6 @@ func CoreBenchLargeMesh256() (*ProtocolComparisonResult, error) {
 		[]sim.ProtocolKind{sim.ProtocolAdaptive, sim.ProtocolMESI})
 }
 
-// CoreBenchLargeMesh256Sharded runs the LargeMesh256 scenario on the
-// shard-parallel engine (4 shards of 64 tiles each). It gates the sharded
-// engine's overhead rather than its speedup: on a single-CPU runner the
-// four shard workers time-slice one core, so the gate's wide ns/op band
-// covers both serialized and genuinely parallel hosts — the >= 2x speedup
-// claim is only measurable with GOMAXPROCS >= 4 (see DESIGN.md, "Parallel
-// execution").
-func CoreBenchLargeMesh256Sharded() (*ProtocolComparisonResult, error) {
-	o := CoreBenchLargeMesh256Options()
-	o.Shards = 4
-	return ProtocolComparison(o,
-		[]sim.ProtocolKind{sim.ProtocolAdaptive, sim.ProtocolMESI})
-}
-
 // CoreBenchMultiSweep runs one iteration of the tracked multi-experiment
 // sweep: three PCT sweeps over one session, exercising the whole
 // work-avoidance stack — corpus reuse, cross-experiment result dedup and

@@ -50,14 +50,6 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (<= 0: GOMAXPROCS).
 	Parallelism int
-	// Shards selects the simulator's shard-parallel execution engine for
-	// every job (sim.Config.Shards): 0 or 1 keeps the sequential engine,
-	// larger values run each simulation on that many shard workers. Shards
-	// is part of the job fingerprint, and sharded runs (> 1) are not
-	// run-to-run deterministic — see the sim.Config.Shards contract — so
-	// paper-figure experiments should leave it zero and let Parallelism
-	// exploit the independence across simulations instead.
-	Shards int
 	// Config customizes the base machine; nil uses sim.Default. PCT and
 	// classifier fields are overridden per experiment as needed.
 	Config *sim.Config
@@ -142,14 +134,6 @@ func (o Options) baseConfig() sim.Config {
 	cfg.MeshWidth = o.MeshWidth
 	if cfg.MemControllers > o.Cores {
 		cfg.MemControllers = o.Cores
-	}
-	if o.Shards > 0 {
-		cfg.Shards = o.Shards
-		if cfg.Shards > cfg.Cores {
-			// Validate rejects Shards > Cores; clamp so one Options serves
-			// sweeps over machine sizes smaller than the shard count.
-			cfg.Shards = cfg.Cores
-		}
 	}
 	return cfg
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,41 +68,37 @@ func TestParallelRunnersStress(t *testing.T) {
 
 // TestProgressCallbackLifetime pins the Options.Progress contract under
 // real concurrency: callbacks arrive from worker goroutines while the
-// batch runs — Parallelism 4, and in the second variant each simulation
-// itself runs on the sharded engine (Shards 2) — but never after runJobs
-// returns, and every (done, total) pair is coherent. CI runs this package
-// with -race, which is where the lifetime guarantee actually gets
-// exercised.
+// batch runs (Parallelism 4, each simulation on the one sequential engine:
+// shards=0), but never after runJobs returns, and every
+// (done, total) pair is coherent. CI runs this package with -race, which
+// is where the lifetime guarantee actually gets exercised.
 func TestProgressCallbackLifetime(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var returned atomic.Bool
-			var calls atomic.Int64
-			o := Options{
-				Cores:       8,
-				MeshWidth:   4,
-				Scale:       0.05,
-				Seed:        13,
-				Benchmarks:  []string{"radix", "matmul"},
-				Parallelism: 4,
-				Shards:      shards,
-				Progress: func(done, total int) {
-					if returned.Load() {
-						t.Error("progress callback delivered after the experiment returned")
-					}
-					if done < 0 || done > total {
-						t.Errorf("incoherent progress (%d, %d)", done, total)
-					}
-					calls.Add(1)
-				},
-			}
-			if _, err := RunPCTSweep(o, []int{1, 4}); err != nil {
-				t.Fatal(err)
-			}
-			returned.Store(true)
-			if calls.Load() == 0 {
-				t.Error("no progress callbacks observed")
-			}
-		})
-	}
+	t.Run("shards=0", func(t *testing.T) {
+		var returned atomic.Bool
+		var calls atomic.Int64
+		o := Options{
+			Cores:       8,
+			MeshWidth:   4,
+			Scale:       0.05,
+			Seed:        13,
+			Benchmarks:  []string{"radix", "matmul"},
+			Parallelism: 4,
+			Progress: func(done, total int) {
+				if returned.Load() {
+					t.Error("progress callback delivered after the experiment returned")
+				}
+				if done < 0 || done > total {
+					t.Errorf("incoherent progress (%d, %d)", done, total)
+				}
+				calls.Add(1)
+			},
+		}
+		if _, err := RunPCTSweep(o, []int{1, 4}); err != nil {
+			t.Fatal(err)
+		}
+		returned.Store(true)
+		if calls.Load() == 0 {
+			t.Error("no progress callbacks observed")
+		}
+	})
 }

@@ -11,7 +11,6 @@ package network
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lacc/internal/mem"
 )
@@ -37,19 +36,12 @@ type Config struct {
 	HopLatency int
 }
 
-// Mesh is a W×H mesh with per-directed-link next-free times. A Mesh built
-// by New is not safe for concurrent use; the simulator serializes
-// transactions. Clone returns handles that share the link-occupancy state
-// through atomic read-max-write updates, so the sharded engine's workers
-// observe each other's contention (see Clone).
+// Mesh is a W×H mesh with per-directed-link next-free times. A Mesh is not
+// safe for concurrent use; the simulator serializes transactions.
 type Mesh struct {
 	cfg      Config
-	linkFree []uint64    // [tile*4+dir] next-free cycle per directed link
+	linkFree []mem.Cycle // [tile*4+dir] next-free cycle per directed link
 	rowTime  []mem.Cycle // broadcast scratch: head arrival per column
-
-	// concurrent switches link updates to atomic compare-and-swap loops.
-	// Set only on clones; a sequential mesh keeps the plain loads/stores.
-	concurrent bool
 
 	// RouterFlits and LinkFlits count flit traversals for the energy model
 	// (each flit is counted once per router and once per link it crosses).
@@ -70,31 +62,9 @@ func New(cfg Config) *Mesh {
 	n := cfg.Width * cfg.Height
 	return &Mesh{
 		cfg:      cfg,
-		linkFree: make([]uint64, n*int(numDirections)),
+		linkFree: make([]mem.Cycle, n*int(numDirections)),
 		rowTime:  make([]mem.Cycle, cfg.Width),
 	}
-}
-
-// Clone returns a handle onto the same mesh for one concurrent worker: the
-// link next-free times are shared (every worker observes every other's
-// contention) while the traffic counters and broadcast scratch are private,
-// so workers accumulate counters without synchronization and the owner
-// merges them afterwards with AddCounters. The clone performs link updates
-// atomically; the original must stay quiescent while clones are live.
-func (m *Mesh) Clone() *Mesh {
-	return &Mesh{
-		cfg:        m.cfg,
-		linkFree:   m.linkFree,
-		rowTime:    make([]mem.Cycle, m.cfg.Width),
-		concurrent: true,
-	}
-}
-
-// AddCounters folds a clone's private traffic counters into m.
-func (m *Mesh) AddCounters(o *Mesh) {
-	m.RouterFlits += o.RouterFlits
-	m.LinkFlits += o.LinkFlits
-	m.Messages += o.Messages
 }
 
 // Reset frees every link and zeroes the traffic counters, returning the
@@ -152,31 +122,11 @@ func (m *Mesh) occupy(tile int, d Direction, t mem.Cycle, flits int) mem.Cycle {
 // counter updates (flits x hops) into one pair of adds per message.
 func (m *Mesh) traverse(tile int, d Direction, t mem.Cycle, flits int) mem.Cycle {
 	link := tile*int(numDirections) + int(d)
-	if m.concurrent {
-		return m.traverseShared(link, t, flits)
-	}
-	if free := mem.Cycle(m.linkFree[link]); free > t {
+	if free := m.linkFree[link]; free > t {
 		t = free
 	}
-	m.linkFree[link] = uint64(t + mem.Cycle(flits))
+	m.linkFree[link] = t + mem.Cycle(flits)
 	return t + mem.Cycle(m.cfg.HopLatency)
-}
-
-// traverseShared is the clone-side link crossing: an atomic read-max-write
-// on the shared next-free word. The CAS loop makes the wait-then-occupy
-// update atomic against concurrent workers crossing the same link.
-func (m *Mesh) traverseShared(link int, t mem.Cycle, flits int) mem.Cycle {
-	p := &m.linkFree[link]
-	for {
-		cur := atomic.LoadUint64(p)
-		head := t
-		if free := mem.Cycle(cur); free > head {
-			head = free
-		}
-		if atomic.CompareAndSwapUint64(p, cur, uint64(head+mem.Cycle(flits))) {
-			return head + mem.Cycle(m.cfg.HopLatency)
-		}
-	}
 }
 
 // step advances the message head across one link (occupy plus the XY walk);

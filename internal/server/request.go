@@ -80,12 +80,6 @@ type ConfigOverrides struct {
 	AckwisePointers int `json:"ackwise_pointers,omitempty"`
 	// VictimReplication enables the Victim Replication baseline.
 	VictimReplication *bool `json:"victim_replication,omitempty"`
-	// Shards selects the simulator's shard-parallel execution engine
-	// (sim.Config.Shards): 0 or 1 keeps the sequential engine; values > 1
-	// run shard workers concurrently and are not run-to-run deterministic,
-	// so responses for such requests are cached per value, not reproducible
-	// bit-for-bit across server restarts.
-	Shards int `json:"shards,omitempty"`
 }
 
 // apply folds the overrides into cfg.
@@ -122,9 +116,6 @@ func (ov *ConfigOverrides) apply(cfg *sim.Config) {
 	}
 	if ov.VictimReplication != nil {
 		cfg.VictimReplication = *ov.VictimReplication
-	}
-	if ov.Shards != 0 {
-		cfg.Shards = ov.Shards
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,29 @@ func decodeBody(t *testing.T, body string) *Request {
 		t.Fatalf("decodeRequest(%q): %v", body, err)
 	}
 	return q
+}
+
+// TestShardFieldRejected pins that the removed "shards" config field is
+// an unknown field: the body is refused with 400 at decode time, so no
+// request can select a nondeterministic engine whose result would then be
+// memoized, stored and replicated under a canonical key.
+func TestShardFieldRejected(t *testing.T) {
+	body := `{"workload":"matmul","cores":4,"scale":0.1,"config":{"shards":2}}`
+	r := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
+	_, err := decodeRequest(r)
+	var ae *apiError
+	if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+		t.Fatalf("decodeRequest(%s) = %v, want a 400 apiError", body, err)
+	}
+	if !strings.Contains(ae.msg, "shards") {
+		t.Errorf("error %q does not name the unknown field", ae.msg)
+	}
+
+	rec := httptest.NewRecorder()
+	New(Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST /v1/run: status %d, want 400: %s", rec.Code, rec.Body)
+	}
 }
 
 // TestCanonicalKeyNormalizesScalarDefaults pins the coalescing contract:

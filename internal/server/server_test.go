@@ -541,31 +541,3 @@ func TestDrainEndsSSEWithFinalEvent(t *testing.T) {
 		t.Fatalf("terminal event = %q %q, want an error naming the shutdown", last.name, last.data)
 	}
 }
-
-// TestShardsOverride: the shards config field reaches the simulator —
-// valid values run, and the simulator's own limits surface as 400s.
-func TestShardsOverride(t *testing.T) {
-	ts := newTestServer(t, server.Config{MaxInFlight: 2, Parallelism: 1})
-
-	body := fmt.Sprintf(`{"workload":"matmul","cores":%d,"scale":%g,"config":{"shards":2}}`, testCores, testScale)
-	status, b := post(t, ts, "/v1/run", body)
-	if status != http.StatusOK {
-		t.Fatalf("shards=2 run: %d %s", status, b)
-	}
-	var res struct{ DataAccesses uint64 }
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.DataAccesses == 0 {
-		t.Error("sharded run reported zero data accesses")
-	}
-
-	for _, bad := range []struct{ shards int }{{testCores + 1}, {-1}} {
-		body := fmt.Sprintf(`{"workload":"matmul","cores":%d,"scale":%g,"config":{"shards":%d}}`,
-			testCores, testScale, bad.shards)
-		status, b := post(t, ts, "/v1/run", body)
-		if status != http.StatusBadRequest {
-			t.Errorf("shards=%d: status %d (%s), want 400", bad.shards, status, b)
-		}
-	}
-}

@@ -48,10 +48,6 @@ func (s *adaptiveProtocol) initDirEntry(e *dirEntry) {
 	e.owner = -1
 	if s.reference {
 		e.cls = core.NewClassifier(s.cfg.Cores, s.cfg.ClassifierK)
-	} else if s.sh != nil {
-		s.sh.poolMu.Lock()
-		e.cls = s.clsPool.Get()
-		s.sh.poolMu.Unlock()
 	} else {
 		e.cls = s.clsPool.Get()
 	}
@@ -93,7 +89,7 @@ func (s *adaptiveProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.
 	var l1l2, wait, sharersLat, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := s.dataHome(addr, c.id)
+	home, recl := s.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		s.PageMove(recl, t)
 		t += mem.Cycle(s.cfg.PageMoveLatency)
@@ -110,9 +106,6 @@ func (s *adaptiveProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction — directory walk, sharer round
-	// trips, grant — runs under the home tile's lock.
-	s.lockHome(home)
 	entry, l2line, tDir, wait, fill := s.lookupEntry(s, c, home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(s.cfg.L2Latency)
@@ -126,14 +119,12 @@ func (s *adaptiveProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.
 
 	// Classifier inputs are computed before this access touches the line.
 	st := core.Lookup(entry.cls, c.id)
-	s.lockL1(c.id)
 	var minLA mem.Cycle
 	var full bool
 	if s.cfg.Protocol.UseTimestamp {
 		minLA, full = s.tiles[c.id].l1d.MinLastAccess(la)
 	}
 	hasInv := s.tiles[c.id].l1d.HasInvalidWay(la)
-	s.unlockL1(c.id)
 	tsPass := false
 	if s.cfg.Protocol.UseTimestamp {
 		tsPass = !full || l2line.LastAccess > minLA
@@ -213,14 +204,12 @@ func (s *adaptiveProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.
 	var tEnd mem.Cycle
 	if grant {
 		tEnd = s.grantLine(c, kind, la, home, entry, l2line, upgrade, t)
-		s.unlockHome(home)
 		l1l2 += tEnd - t
-		s.setHistory(c.id, la, hCached)
+		c.history.set(la, hCached)
 	} else {
 		tEnd = s.mesh.Unicast(home, c.id, replyFlits, t)
-		s.unlockHome(home)
 		l1l2 += tEnd - t
-		s.setHistory(c.id, la, hRemote)
+		c.history.set(la, hRemote)
 	}
 
 	c.l1d.Record(outcome)
@@ -258,9 +247,7 @@ func (s *adaptiveProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.A
 			if entry.state != coherence.SharedState {
 				panic(fmt.Sprintf("sim: read grant in state %v", entry.state))
 			}
-			if !s.relaxed() || !entry.sharers.Contains(c.id) {
-				entry.sharers.Add(c.id)
-			}
+			entry.sharers.Add(c.id)
 		}
 	} else {
 		if upgrade && entry.sharers.Contains(c.id) {
@@ -270,12 +257,7 @@ func (s *adaptiveProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.A
 			entry.sharers.Remove(c.id)
 		}
 		if entry.sharers.Count() != 0 {
-			if !s.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			// Phantom registrations whose copies vanished under deferred
-			// eviction; their acks were already collected.
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
@@ -284,12 +266,11 @@ func (s *adaptiveProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.A
 
 	tEnd := s.mesh.Unicast(home, c.id, replyFlits, t)
 
-	s.lockL1(c.id)
 	l1 := s.tiles[c.id].l1d
 	var line *cache.Line
 	if upgrade {
 		line = l1.Probe(la)
-		if line == nil && !s.relaxed() {
+		if line == nil {
 			panic("sim: upgrade without an L1 copy")
 		}
 	}
@@ -298,7 +279,7 @@ func (s *adaptiveProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.A
 		var evicted bool
 		line, victim, evicted = l1.Insert(la)
 		if evicted {
-			s.l1EvictNotify(s, c, victim, tEnd)
+			s.L1Evict(c, victim, tEnd)
 		}
 		s.meter.L1DWrites++ // line fill write
 		line.Home = int16(home)
@@ -318,7 +299,6 @@ func (s *adaptiveProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.A
 	default:
 		line.State = lineS
 	}
-	s.unlockL1(c.id)
 	if kind == mem.Read && s.cfg.CheckValues {
 		s.checkVersion("private fill read", la, line.Version)
 	}
@@ -337,10 +317,8 @@ func (s *adaptiveProtocol) fetchOwnerForRead(home int, la mem.Addr, entry *dirEn
 	owner := int(entry.owner)
 	tReq := s.mesh.Unicast(home, owner, 1, t)
 	tReq += mem.Cycle(s.cfg.L1DLatency)
-	s.lockL1(owner)
 	ol := s.tiles[owner].l1d.Probe(la)
 	if ol == nil {
-		s.unlockL1(owner)
 		if s.cfg.VictimReplication {
 			if rl := s.tiles[owner].l2.Probe(la); rl != nil && rl.State == lineReplica {
 				// The clean-Exclusive owner's copy lives on as a local
@@ -356,20 +334,6 @@ func (s *adaptiveProtocol) fetchOwnerForRead(home int, la mem.Addr, entry *dirEn
 				return tAck
 			}
 		}
-		if s.relaxed() {
-			// The owner's copy was displaced concurrently and its deferred
-			// eviction notification has not reached this home yet. Treat the
-			// downgrade as a clean single-flit acknowledgement; the phantom
-			// sharer registration is cleaned up by the eviction's
-			// Contains-guarded deregistration when it drains.
-			tAck := s.mesh.Unicast(owner, home, 1, tReq)
-			entry.state = coherence.SharedState
-			entry.owner = -1
-			entry.sharers.Clear()
-			entry.sharers.Add(owner)
-			s.meter.DirUpdates++
-			return tAck
-		}
 		panic(fmt.Sprintf("sim: owner %d lost line %#x", owner, la))
 	}
 	flits := 1
@@ -381,7 +345,6 @@ func (s *adaptiveProtocol) fetchOwnerForRead(home int, la mem.Addr, entry *dirEn
 		s.meter.L2LineWrites++
 	}
 	ol.State = lineS
-	s.unlockL1(owner)
 	tAck := s.mesh.Unicast(owner, home, flits, tReq)
 	entry.state = coherence.SharedState
 	entry.owner = -1
@@ -468,20 +431,11 @@ func (s *adaptiveProtocol) invalAck(home int, la mem.Addr, id int, entry *dirEnt
 		return tArr
 	}
 	tArr += mem.Cycle(s.cfg.L1DLatency)
-	s.lockL1(id)
 	line, ok := s.invalidateTileCopy(id, la)
 	if !ok {
-		s.unlockL1(id)
-		if !s.relaxed() {
-			panic(fmt.Sprintf("sim: invalidation of absent copy at core %d line %#x", id, la))
-		}
-		// The copy was displaced concurrently (deferred eviction still in
-		// flight): acknowledge without data and leave classification to the
-		// eviction notification that displaced it.
-		return s.mesh.Unicast(id, home, 1, tArr)
+		panic(fmt.Sprintf("sim: invalidation of absent copy at core %d line %#x", id, la))
 	}
 	s.cores[id].history.set(la, hInvalidated)
-	s.unlockL1(id)
 	flits := 1
 	if line.Dirty {
 		flits = 9
@@ -502,20 +456,11 @@ func (s *adaptiveProtocol) invalAck(home int, la mem.Addr, id int, entry *dirEnt
 // write is serviced as a remote word access, updating directory state and
 // classification exactly as a remote invalidation would.
 func (s *adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *dirEntry) {
-	s.lockL1(c.id)
 	line, ok := s.tiles[c.id].l1d.Invalidate(la)
-	s.unlockL1(c.id)
 	if !ok {
-		if s.relaxed() {
-			// The stale S copy was displaced concurrently; the deferred
-			// eviction carries the deregistration.
-			return
-		}
 		panic(fmt.Sprintf("sim: upgrade without an L1 copy at core %d line %#x", c.id, la))
 	}
-	if !s.relaxed() || entry.sharers.Contains(c.id) {
-		entry.sharers.Remove(c.id)
-	}
+	entry.sharers.Remove(c.id)
 	if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
 		entry.state = coherence.Uncached
 	}
@@ -558,19 +503,10 @@ func (s *adaptiveProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	ht := &s.tiles[home]
 	entry := ht.dir.probe(la)
 	if entry == nil {
-		if s.relaxed() {
-			// The home entry was torn down (L2 eviction or page move) after
-			// this eviction was deferred; the back-invalidation already
-			// accounted the removal.
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
 	}
 	l2line := ht.l2.Probe(la)
 	if l2line == nil {
-		if s.relaxed() {
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
@@ -581,7 +517,7 @@ func (s *adaptiveProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	if entry.owner == int16(c.id) {
 		entry.state = coherence.Uncached
 		entry.owner = -1
-	} else if !s.relaxed() || entry.sharers.Contains(c.id) {
+	} else {
 		entry.sharers.Remove(c.id)
 		if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
 			entry.state = coherence.Uncached
@@ -591,7 +527,7 @@ func (s *adaptiveProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	if s.cfg.TrackUtilization {
 		s.evictHist.Record(victim.Util)
 	}
-	s.setHistory(c.id, la, hEvicted)
+	c.history.set(la, hEvicted)
 }
 
 // L2Evict handles an L2 slice eviction: the inclusive hierarchy
@@ -619,19 +555,11 @@ func (s *adaptiveProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 	backInval := func(id int) {
 		tReq := s.mesh.Unicast(home, id, 1, t)
 		tReq += mem.Cycle(s.cfg.L1DLatency)
-		s.lockL1(id)
 		line, ok := s.invalidateTileCopy(id, la)
 		if !ok {
-			s.unlockL1(id)
-			if !s.relaxed() {
-				panic(fmt.Sprintf("sim: back-invalidation of absent copy at core %d line %#x", id, la))
-			}
-			// Displaced concurrently; ack without data.
-			s.mesh.Unicast(id, home, 1, tReq)
-			return
+			panic(fmt.Sprintf("sim: back-invalidation of absent copy at core %d line %#x", id, la))
 		}
 		s.cores[id].history.set(la, hEvicted)
-		s.unlockL1(id)
 		flits := 1
 		if line.Dirty {
 			flits = 9
@@ -684,10 +612,6 @@ func (s *adaptiveProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 // PageMoveLatency by the caller.
 func (s *adaptiveProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 	oldHome := recl.OldHome
-	// Callers invoke PageMove before taking the new home's lock, so the old
-	// home's lock nests inside nothing here.
-	s.lockHome(oldHome)
-	defer s.unlockHome(oldHome)
 	ht := &s.tiles[oldHome]
 	for i := 0; i < mem.PageBytes/mem.LineBytes; i++ {
 		la := recl.Page + mem.Addr(i*mem.LineBytes)

@@ -38,23 +38,8 @@ func (d *fullMapDirectory) fetchOwnerForRead(home int, la mem.Addr, entry *dirEn
 	owner := int(entry.owner)
 	tReq := d.mesh.Unicast(home, owner, 1, t)
 	tReq += mem.Cycle(d.cfg.L1DLatency)
-	d.lockL1(owner)
 	ol := d.tiles[owner].l1d.Probe(la)
 	if ol == nil {
-		d.unlockL1(owner)
-		if d.relaxed() {
-			// The owner's copy was displaced concurrently (deferred eviction
-			// in flight): downgrade collapses to a clean single-flit ack; the
-			// eviction's Contains-guarded deregistration cleans up the
-			// phantom sharer registration.
-			tAck := d.mesh.Unicast(owner, home, 1, tReq)
-			entry.state = coherence.SharedState
-			entry.owner = -1
-			entry.sharers.Clear()
-			entry.sharers.Add(owner)
-			d.meter.DirUpdates++
-			return tAck
-		}
 		panic(fmt.Sprintf("sim: owner %d lost line %#x", owner, la))
 	}
 	flits := 1
@@ -66,7 +51,6 @@ func (d *fullMapDirectory) fetchOwnerForRead(home int, la mem.Addr, entry *dirEn
 		d.meter.L2LineWrites++
 	}
 	ol.State = lineS
-	d.unlockL1(owner)
 	tAck := d.mesh.Unicast(owner, home, flits, tReq)
 	entry.state = coherence.SharedState
 	entry.owner = -1
@@ -131,19 +115,11 @@ func (d *fullMapDirectory) invalCopy(home int, la mem.Addr, id int,
 		return tArr
 	}
 	tArr += mem.Cycle(d.cfg.L1DLatency)
-	d.lockL1(id)
 	line, ok := d.tiles[id].l1d.Invalidate(la)
 	if !ok {
-		d.unlockL1(id)
-		if !d.relaxed() {
-			panic(fmt.Sprintf("sim: invalidation of absent line %#x at tile %d", la, id))
-		}
-		// Displaced concurrently (deferred eviction in flight): acknowledge
-		// without data; the eviction notification accounts the removal.
-		return d.mesh.Unicast(id, home, 1, tArr)
+		panic(fmt.Sprintf("sim: invalidation of absent line %#x at tile %d", la, id))
 	}
 	d.cores[id].history.set(la, hInvalidated)
-	d.unlockL1(id)
 	flits := 1
 	if line.Dirty {
 		flits = 9
@@ -171,18 +147,14 @@ func (d *fullMapDirectory) grantRead(c *coreState, entry *dirEntry) {
 		if entry.state != coherence.SharedState {
 			panic(fmt.Sprintf("sim: read grant in state %v", entry.state))
 		}
-		if !d.relaxed() || !entry.sharers.Contains(c.id) {
-			entry.sharers.Add(c.id)
-		}
+		entry.sharers.Add(c.id)
 	}
 	d.meter.DirUpdates++
 }
 
 // installLine places a granted line into the requester's L1 (evicting
 // through the protocol's eviction path), marks the fill and returns the
-// line. For upgrades the resident copy is returned instead. Callers in the
-// sharded engine hold the requester's L1 lock across the call and the
-// subsequent line mutations.
+// line. For upgrades the resident copy is returned instead.
 func (d *fullMapDirectory) installLine(p Protocol, c *coreState, la mem.Addr, home int,
 	l2line *cache.Line, upgrade bool, tEnd mem.Cycle) *cache.Line {
 
@@ -191,14 +163,11 @@ func (d *fullMapDirectory) installLine(p Protocol, c *coreState, la mem.Addr, ho
 		if line := l1.Probe(la); line != nil {
 			return line
 		}
-		if !d.relaxed() {
-			panic("sim: upgrade without an L1 copy")
-		}
-		// Displaced concurrently: fall through to a fresh fill.
+		panic("sim: upgrade without an L1 copy")
 	}
 	line, victim, evicted := l1.Insert(la)
 	if evicted {
-		d.l1EvictNotify(p, c, victim, tEnd)
+		p.L1Evict(c, victim, tEnd)
 	}
 	d.meter.L1DWrites++ // line fill write
 	line.Home = int16(home)
@@ -219,14 +188,12 @@ func (d *fullMapDirectory) grantModifiedFill(p Protocol, c *coreState, la mem.Ad
 	d.meter.DirUpdates++
 	d.meter.L2LineReads++
 	tEnd := d.mesh.Unicast(home, c.id, 9, t)
-	d.lockL1(c.id)
 	line := d.installLine(p, c, la, home, l2line, false, tEnd)
 	line.Util++
 	d.tiles[c.id].l1d.Touch(line, tEnd)
 	line.State = lineM
 	line.Dirty = true
 	line.Version = d.goldenWrite(la)
-	d.unlockL1(c.id)
 	return tEnd
 }
 
@@ -245,18 +212,10 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	ht := &d.tiles[home]
 	entry := ht.dir.probe(la)
 	if entry == nil {
-		if d.relaxed() {
-			// Torn down by a concurrent L2 eviction or page move; the
-			// back-invalidation already accounted the removal.
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
 	}
 	l2line := ht.l2.Probe(la)
 	if l2line == nil {
-		if d.relaxed() {
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
@@ -267,7 +226,7 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	if entry.owner == int16(c.id) {
 		entry.state = coherence.Uncached
 		entry.owner = -1
-	} else if !d.relaxed() || entry.sharers.Contains(c.id) {
+	} else {
 		entry.sharers.Remove(c.id)
 		if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
 			entry.state = coherence.Uncached
@@ -277,7 +236,7 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	if d.cfg.TrackUtilization {
 		d.evictHist.Record(victim.Util)
 	}
-	d.setHistory(c.id, la, hEvicted)
+	c.history.set(la, hEvicted)
 }
 
 // L2Evict back-invalidates every private copy of a displaced home line
@@ -296,19 +255,11 @@ func (d *fullMapDirectory) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 	backInval := func(id int) {
 		tReq := d.mesh.Unicast(home, id, 1, t)
 		tReq += mem.Cycle(d.cfg.L1DLatency)
-		d.lockL1(id)
 		line, ok := d.tiles[id].l1d.Invalidate(la)
 		if !ok {
-			d.unlockL1(id)
-			if !d.relaxed() {
-				panic(fmt.Sprintf("sim: back-invalidation of absent line %#x at tile %d", la, id))
-			}
-			// Displaced concurrently; ack without data.
-			d.mesh.Unicast(id, home, 1, tReq)
-			return
+			panic(fmt.Sprintf("sim: back-invalidation of absent line %#x at tile %d", la, id))
 		}
 		d.cores[id].history.set(la, hEvicted)
-		d.unlockL1(id)
 		flits := 1
 		if line.Dirty {
 			flits = 9
@@ -349,10 +300,6 @@ func (d *fullMapDirectory) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 // home slice (dirty ones via DRAM).
 func (d *fullMapDirectory) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 	oldHome := recl.OldHome
-	// Callers invoke PageMove before taking the new home's lock, so the old
-	// home's lock nests inside nothing here.
-	d.lockHome(oldHome)
-	defer d.unlockHome(oldHome)
 	ht := &d.tiles[oldHome]
 	for i := 0; i < mem.PageBytes/mem.LineBytes; i++ {
 		la := recl.Page + mem.Addr(i*mem.LineBytes)

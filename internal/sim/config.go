@@ -94,21 +94,6 @@ type Config struct {
 	// TrackUtilization enables the Figure 1/2 eviction/invalidation
 	// utilization histograms.
 	TrackUtilization bool
-
-	// Shards selects the parallel execution engine: the mesh is partitioned
-	// into Shards contiguous tile groups, each drained by its own worker
-	// goroutine, synchronized on epoch barriers (see shard.go). 0 or 1 run
-	// the sequential engine. Values above 1 engage the relaxed parallel
-	// engine, which is incompatible with CheckValues and VictimReplication
-	// and falls back to sequential execution for those configurations.
-	Shards int
-
-	// EpochCycles is the epoch length of the sharded engine: shards run
-	// freely while their cores stay below the global epoch horizon and
-	// rendezvous to advance it. 0 selects the default (8192 cycles).
-	// Smaller epochs tighten cross-shard timing divergence at the cost of
-	// more rendezvous.
-	EpochCycles int
 }
 
 // MaxCores is the largest supported core count. Tile identities are packed
@@ -197,15 +182,6 @@ func (c Config) Validate() error {
 	}
 	if c.Cores > MaxCores {
 		return &LimitError{Field: "Cores", Value: c.Cores, Max: MaxCores}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: negative shard count %d", c.Shards)
-	}
-	if c.Shards > c.Cores {
-		return &LimitError{Field: "Shards", Value: c.Shards, Max: c.Cores}
-	}
-	if c.EpochCycles < 0 {
-		return fmt.Errorf("sim: negative epoch length %d", c.EpochCycles)
 	}
 	if _, ok := protocolFactories[c.protocolKind()]; !ok {
 		return fmt.Errorf("sim: unknown protocol %q (registered: %v)", c.ProtocolKind, ProtocolKinds())

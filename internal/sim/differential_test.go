@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"lacc/internal/coherence"
@@ -447,7 +448,7 @@ func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 
 // runProgramGeneric executes prog on a fast-layout simulator pinned to the
 // generic interface-dispatch loop (forceGeneric), the reference
-// formulation the batched monomorphic engines must reproduce.
+// formulation the batched engine must reproduce.
 func runProgramGeneric(t *testing.T, cfg Config, prog [][]mem.Access) (*Simulator, *Result) {
 	t.Helper()
 	s, err := New(cfg)
@@ -462,9 +463,26 @@ func runProgramGeneric(t *testing.T, cfg Config, prog [][]mem.Access) (*Simulato
 	return s, res
 }
 
+// engineProtocols are the protocol configurations TestEngineBatchedVsGeneric
+// replays; TestBuiltinProtocolsRunBatched checks they name every registered
+// kind.
+var engineProtocols = []struct {
+	name string
+	mut  func(*Config)
+}{
+	{"adaptive", func(c *Config) {}},
+	{"adaptive-timestamp", func(c *Config) { c.Protocol.UseTimestamp = true }},
+	{"adaptive-victim-replication", func(c *Config) { c.VictimReplication = true }},
+	{"mesi", func(c *Config) { c.ProtocolKind = ProtocolMESI }},
+	{"dragon", func(c *Config) { c.ProtocolKind = ProtocolDragon }},
+	{"dls", func(c *Config) { c.ProtocolKind = ProtocolDLS }},
+	{"neat", func(c *Config) { c.ProtocolKind = ProtocolNeat }},
+	{"hybrid", func(c *Config) { c.ProtocolKind = ProtocolHybrid }},
+}
+
 // TestEngineBatchedVsGeneric is the execution-engine equivalence property:
 // for every protocol, machine geometry and workload shape, the
-// horizon-batched monomorphic loops (engine.go) must reproduce the generic
+// horizon-batched loop (engine.go) must reproduce the generic
 // one-op-per-heap-touch interface-dispatch loop bit for bit — every Result
 // field, both version stores and the final directory state. The generic
 // loop is the reference implementation; the batched engine's claim is that
@@ -472,19 +490,6 @@ func runProgramGeneric(t *testing.T, cfg Config, prog [][]mem.Access) (*Simulato
 // unobservable, and this test is that claim's proof over randomized mixed,
 // lock-heavy and barrier-heavy programs.
 func TestEngineBatchedVsGeneric(t *testing.T) {
-	protocols := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"adaptive", func(c *Config) {}},
-		{"adaptive-timestamp", func(c *Config) { c.Protocol.UseTimestamp = true }},
-		{"adaptive-victim-replication", func(c *Config) { c.VictimReplication = true }},
-		{"mesi", func(c *Config) { c.ProtocolKind = ProtocolMESI }},
-		{"dragon", func(c *Config) { c.ProtocolKind = ProtocolDragon }},
-		{"dls", func(c *Config) { c.ProtocolKind = ProtocolDLS }},
-		{"neat", func(c *Config) { c.ProtocolKind = ProtocolNeat }},
-		{"hybrid", func(c *Config) { c.ProtocolKind = ProtocolHybrid }},
-	}
 	geometries := []struct {
 		name string
 		mut  func(*Config)
@@ -505,7 +510,7 @@ func TestEngineBatchedVsGeneric(t *testing.T) {
 		{"lock-heavy", buildLockHeavyProgram},
 		{"barrier-heavy", buildBarrierHeavyProgram},
 	}
-	for _, p := range protocols {
+	for _, p := range engineProtocols {
 		for _, g := range geometries {
 			for _, w := range programs {
 				p, g, w := p, g, w
@@ -521,6 +526,105 @@ func TestEngineBatchedVsGeneric(t *testing.T) {
 					compareStates(t, "batched vs generic", batchedSim, batchedRes, genericSim, genericRes)
 				})
 			}
+		}
+	}
+}
+
+// TestEngineShardedVsGeneric pins where simulation work is spread across
+// goroutines now that one simulation is never split into shards: only
+// whole, independent simulators run side by side (the experiment layer's
+// runJobs). For every protocol, geometry and workload shape, simulators
+// replaying the same program concurrently must each reproduce the generic
+// engine bit for bit. Run with -race in CI, this is also the proof that
+// independent simulators share no mutable state.
+func TestEngineShardedVsGeneric(t *testing.T) {
+	geometries := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"4core-2x2", func(c *Config) {}},
+		{"8core-4x2", func(c *Config) {
+			c.Cores, c.MeshWidth, c.MemControllers = 8, 4, 4
+		}},
+		{"2core-2x1", func(c *Config) {
+			c.Cores, c.MeshWidth, c.MemControllers = 2, 2, 2
+		}},
+	}
+	programs := []struct {
+		name  string
+		build func(*rand.Rand, int) [][]mem.Access
+	}{
+		{"mixed", buildRandomProgram},
+		{"lock-heavy", buildLockHeavyProgram},
+		{"barrier-heavy", buildBarrierHeavyProgram},
+	}
+	const concurrent = 2
+	for _, p := range engineProtocols {
+		for _, g := range geometries {
+			for _, w := range programs {
+				p, g, w := p, g, w
+				t.Run(p.name+"/"+g.name+"/"+w.name, func(t *testing.T) {
+					t.Parallel()
+					cfg := diffConfig()
+					g.mut(&cfg)
+					p.mut(&cfg)
+					prog := w.build(rand.New(rand.NewSource(11)), cfg.Cores)
+
+					sims := make([]*Simulator, concurrent)
+					results := make([]*Result, concurrent)
+					errs := make([]error, concurrent)
+					var wg sync.WaitGroup
+					for i := range sims {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							s, err := New(cfg)
+							if err != nil {
+								errs[i] = err
+								return
+							}
+							sims[i] = s
+							results[i], errs[i] = s.Run(sliceStreams(prog))
+						}(i)
+					}
+					wg.Wait()
+					genericSim, genericRes := runProgramGeneric(t, cfg, prog)
+					for i := range sims {
+						if errs[i] != nil {
+							t.Fatalf("concurrent simulator %d: %v", i, errs[i])
+						}
+						compareStates(t, fmt.Sprintf("concurrent simulator %d vs generic", i),
+							sims[i], results[i], genericSim, genericRes)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBuiltinProtocolsRunBatched pins that every registered protocol takes
+// the batched loop: it implements protocolCore (otherwise runEngine would
+// quietly fall back to the slow generic loop), and TestEngineBatchedVsGeneric
+// replays it against the generic loop.
+func TestBuiltinProtocolsRunBatched(t *testing.T) {
+	covered := map[ProtocolKind]bool{}
+	for _, p := range engineProtocols {
+		cfg := diffConfig()
+		p.mut(&cfg)
+		covered[cfg.protocolKind()] = true
+	}
+	for _, kind := range ProtocolKinds() {
+		cfg := diffConfig()
+		cfg.ProtocolKind = kind
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, ok := s.proto.(protocolCore); !ok {
+			t.Errorf("%s does not implement protocolCore: it would run the generic loop", kind)
+		}
+		if !covered[kind] {
+			t.Errorf("%s is missing from TestEngineBatchedVsGeneric's protocol table", kind)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (p *dlsProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr,
 	var l1l2, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := p.dataHome(addr, c.id)
+	home, recl := p.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		p.PageMove(recl, t)
 		t += mem.Cycle(p.cfg.PageMoveLatency)
@@ -88,11 +88,9 @@ func (p *dlsProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr,
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction runs under the home tile's lock.
-	// There is no directory entry and hence no busy window: the lock's
-	// serialization is the only ordering the single point of coherence
-	// needs.
-	p.lockHome(home)
+	// There is no directory entry and hence no busy window: the engine's
+	// one-transaction-at-a-time execution is the only ordering the single
+	// point of coherence needs.
 	ht := &p.tiles[home]
 	var l2line *cache.Line
 	if hl := c.l2Hint; c.l2HintTile == int32(home) && ht.l2.Holds(hl, la) {
@@ -133,9 +131,8 @@ func (p *dlsProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr,
 
 	ht.l2.Touch(l2line, t)
 	tEnd := p.mesh.Unicast(home, c.id, replyFlits, t)
-	p.unlockHome(home)
 	l1l2 += tEnd - t
-	p.setHistory(c.id, la, hRemote)
+	c.history.set(la, hRemote)
 
 	c.l1d.Record(outcome)
 	c.bd.L1ToL2 += float64(l1l2)
@@ -175,10 +172,6 @@ func (p *dlsProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 // directory and no private copies there is no invalidation fan-out.
 func (p *dlsProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 	oldHome := recl.OldHome
-	// Callers invoke PageMove before taking the new home's lock, so the old
-	// home's lock nests inside nothing here.
-	p.lockHome(oldHome)
-	defer p.unlockHome(oldHome)
 	ht := &p.tiles[oldHome]
 	for i := 0; i < mem.PageBytes/mem.LineBytes; i++ {
 		la := recl.Page + mem.Addr(i*mem.LineBytes)

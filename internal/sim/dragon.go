@@ -64,7 +64,7 @@ func (p *dragonProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 	var l1l2, wait, sharersLat, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := p.dataHome(addr, c.id)
+	home, recl := p.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		p.PageMove(recl, t)
 		t += mem.Cycle(p.cfg.PageMoveLatency)
@@ -81,9 +81,6 @@ func (p *dragonProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction — directory walk, sharer round
-	// trips, grant — runs under the home tile's lock.
-	p.lockHome(home)
 	entry, l2line, tDir, wait, fill := p.lookupEntry(p, c, home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(p.cfg.L2Latency)
@@ -106,8 +103,7 @@ func (p *dragonProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 		sharersLat += shLat
 		l1l2 += tEnd - t - shLat
 	}
-	p.unlockHome(home)
-	p.setHistory(c.id, la, hCached)
+	c.history.set(la, hCached)
 
 	c.l1d.Record(outcome)
 	c.bd.L1ToL2 += float64(l1l2)
@@ -130,7 +126,6 @@ func (p *dragonProtocol) grantReadLine(c *coreState, la mem.Addr, home int,
 	p.grantRead(c, entry)
 	p.meter.L2LineReads++
 	tEnd := p.mesh.Unicast(home, c.id, 9, t)
-	p.lockL1(c.id)
 	line := p.installLine(p, c, la, home, l2line, false, tEnd)
 	line.Util++
 	p.tiles[c.id].l1d.Touch(line, tEnd)
@@ -139,7 +134,6 @@ func (p *dragonProtocol) grantReadLine(c *coreState, la mem.Addr, home int,
 	} else {
 		line.State = lineS
 	}
-	p.unlockL1(c.id)
 	if p.cfg.CheckValues {
 		p.checkVersion("private fill read", la, line.Version)
 	}
@@ -175,35 +169,22 @@ func (p *dragonProtocol) writePath(c *coreState, la mem.Addr, home int,
 		// The requester is the last remaining sharer: promote its copy to
 		// Modified and write locally from now on (Dragon's Sm -> M when
 		// the update would reach nobody).
-		if !p.relaxed() || entry.sharers.Contains(c.id) {
-			entry.sharers.Remove(c.id)
-		} else {
-			// The lone registration is a phantom left by a deferred
-			// eviction; the requester's copy is real but unregistered.
-			entry.sharers.Clear()
-		}
+		entry.sharers.Remove(c.id)
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
 		p.meter.DirUpdates++
 		p.tiles[home].l2.Touch(l2line, t)
 		entry.busyUntil = t
 		tEnd = p.mesh.Unicast(home, c.id, 1, t)
-		p.lockL1(c.id)
 		line := p.tiles[c.id].l1d.Probe(la)
 		if line == nil {
-			p.unlockL1(c.id)
-			if !p.relaxed() {
-				panic("sim: update upgrade without an L1 copy")
-			}
-			// Displaced concurrently; keep the timing, skip the mutation.
-			return tEnd, sharersLat
+			panic("sim: update upgrade without an L1 copy")
 		}
 		line.Util++
 		p.tiles[c.id].l1d.Touch(line, tEnd)
 		line.State = lineM
 		line.Dirty = true
 		line.Version = p.goldenWrite(la)
-		p.unlockL1(c.id)
 		return tEnd, sharersLat
 
 	default:
@@ -221,26 +202,15 @@ func (p *dragonProtocol) writePath(c *coreState, la mem.Addr, home int,
 			}
 			tU := p.mesh.Unicast(home, id, 2, t) // header + word
 			tU += mem.Cycle(p.cfg.L1DLatency)
-			p.lockL1(id)
 			ol := p.tiles[id].l1d.Probe(la)
 			if ol == nil {
-				p.unlockL1(id)
-				if !p.relaxed() {
-					panic(fmt.Sprintf("sim: update to absent copy %#x at tile %d", la, id))
-				}
-				// Displaced concurrently; ack without applying the update.
-				tAck := p.mesh.Unicast(id, home, 1, tU)
-				if tAck > latest {
-					latest = tAck
-				}
-				continue
+				panic(fmt.Sprintf("sim: update to absent copy %#x at tile %d", la, id))
 			}
 			if !p.faults.DropUpdates {
 				// Seeded data-value defect (Faults): the pushed word is
 				// lost and the sharer's copy keeps its stale version.
 				ol.Version = ver
 			}
-			p.unlockL1(id)
 			p.meter.L1DWrites++
 			p.updates++
 			tAck := p.mesh.Unicast(id, home, 1, tU)
@@ -258,37 +228,25 @@ func (p *dragonProtocol) writePath(c *coreState, la mem.Addr, home int,
 			// The requester's own S copy absorbs the word; the home's ack
 			// is a single flit.
 			tEnd = p.mesh.Unicast(home, c.id, 1, t)
-			p.lockL1(c.id)
 			line := p.tiles[c.id].l1d.Probe(la)
 			if line == nil {
-				p.unlockL1(c.id)
-				if !p.relaxed() {
-					panic("sim: update upgrade without an L1 copy")
-				}
-				// Displaced concurrently; keep the timing, skip the
-				// mutation.
-				return tEnd, sharersLat
+				panic("sim: update upgrade without an L1 copy")
 			}
 			line.Util++
 			line.Version = ver
 			p.tiles[c.id].l1d.Touch(line, tEnd)
-			p.unlockL1(c.id)
 			return tEnd, sharersLat
 		}
 		// Write miss to a shared line: the requester joins the sharers
 		// with a full line fill carrying the committed word.
-		if !p.relaxed() || !entry.sharers.Contains(c.id) {
-			entry.sharers.Add(c.id)
-		}
+		entry.sharers.Add(c.id)
 		p.meter.DirUpdates++
 		p.meter.L2LineReads++
 		tEnd = p.mesh.Unicast(home, c.id, 9, t)
-		p.lockL1(c.id)
 		line := p.installLine(p, c, la, home, l2line, false, tEnd)
 		line.Util++
 		p.tiles[c.id].l1d.Touch(line, tEnd)
 		line.State = lineS
-		p.unlockL1(c.id)
 		return tEnd, sharersLat
 	}
 }

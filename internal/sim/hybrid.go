@@ -57,10 +57,6 @@ func (p *hybridProtocol) initDirEntry(e *dirEntry) {
 	e.owner = -1
 	if p.reference {
 		e.cls = core.NewClassifier(p.cfg.Cores, p.cfg.ClassifierK)
-	} else if p.sh != nil {
-		p.sh.poolMu.Lock()
-		e.cls = p.clsPool.Get()
-		p.sh.poolMu.Unlock()
 	} else {
 		e.cls = p.clsPool.Get()
 	}
@@ -89,7 +85,7 @@ func (p *hybridProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 	var l1l2, wait, sharersLat, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := p.dataHome(addr, c.id)
+	home, recl := p.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		p.PageMove(recl, t)
 		t += mem.Cycle(p.cfg.PageMoveLatency)
@@ -106,9 +102,6 @@ func (p *hybridProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction — directory walk, sharer round
-	// trips, grant — runs under the home tile's lock.
-	p.lockHome(home)
 	entry, l2line, tDir, wait, fill := p.lookupEntry(p, c, home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(p.cfg.L2Latency)
@@ -134,8 +127,7 @@ func (p *hybridProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Ad
 	// The requester is an active private sharer; the activity bit drives
 	// the Limited-k replacement policy.
 	core.Lookup(entry.cls, c.id).Active = true
-	p.unlockHome(home)
-	p.setHistory(c.id, la, hCached)
+	c.history.set(la, hCached)
 
 	c.l1d.Record(outcome)
 	c.bd.L1ToL2 += float64(l1l2)
@@ -158,7 +150,6 @@ func (p *hybridProtocol) grantReadLine(c *coreState, la mem.Addr, home int,
 	p.grantRead(c, entry)
 	p.meter.L2LineReads++
 	tEnd := p.mesh.Unicast(home, c.id, 9, t)
-	p.lockL1(c.id)
 	line := p.installLine(p, c, la, home, l2line, false, tEnd)
 	line.Util++
 	p.tiles[c.id].l1d.Touch(line, tEnd)
@@ -167,7 +158,6 @@ func (p *hybridProtocol) grantReadLine(c *coreState, la mem.Addr, home int,
 	} else {
 		line.State = lineS
 	}
-	p.unlockL1(c.id)
 	if p.cfg.CheckValues {
 		p.checkVersion("private fill read", la, line.Version)
 	}
@@ -203,35 +193,22 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 	if upgrade && entry.sharers.Count() == 1 {
 		// The requester is the last remaining sharer: promote its copy to
 		// Modified and write locally from now on.
-		if !p.relaxed() || entry.sharers.Contains(c.id) {
-			entry.sharers.Remove(c.id)
-		} else {
-			// The lone registration is a phantom left by a deferred
-			// eviction; the requester's copy is real but unregistered.
-			entry.sharers.Clear()
-		}
+		entry.sharers.Remove(c.id)
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
 		p.meter.DirUpdates++
 		p.tiles[home].l2.Touch(l2line, t)
 		entry.busyUntil = t
 		tEnd = p.mesh.Unicast(home, c.id, 1, t)
-		p.lockL1(c.id)
 		line := p.tiles[c.id].l1d.Probe(la)
 		if line == nil {
-			p.unlockL1(c.id)
-			if !p.relaxed() {
-				panic("sim: update upgrade without an L1 copy")
-			}
-			// Displaced concurrently; keep the timing, skip the mutation.
-			return tEnd, sharersLat
+			panic("sim: update upgrade without an L1 copy")
 		}
 		line.Util++
 		p.tiles[c.id].l1d.Touch(line, tEnd)
 		line.State = lineM
 		line.Dirty = true
 		line.Version = p.goldenWrite(la)
-		p.unlockL1(c.id)
 		return tEnd, sharersLat
 	}
 
@@ -265,19 +242,9 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 		pushes++
 		tU := p.mesh.Unicast(home, id, 2, t)
 		tU += mem.Cycle(p.cfg.L1DLatency)
-		p.lockL1(id)
 		ol := p.tiles[id].l1d.Probe(la)
 		if ol == nil {
-			p.unlockL1(id)
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: update to absent copy %#x at tile %d", la, id))
-			}
-			// Displaced concurrently; ack without applying the update.
-			tAck := p.mesh.Unicast(id, home, 1, tU)
-			if tAck > latest {
-				latest = tAck
-			}
-			continue
+			panic(fmt.Sprintf("sim: update to absent copy %#x at tile %d", la, id))
 		}
 		if !p.faults.DropUpdates {
 			// Seeded data-value defect (Faults): the pushed word is lost
@@ -289,7 +256,6 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 		// new inter-write window.
 		util := ol.Util
 		ol.Util = 0
-		p.unlockL1(id)
 		p.meter.L1DWrites++
 		p.updates++
 		p.classify(entry, id, util, false)
@@ -316,37 +282,25 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 			// The requester's own S copy absorbs the word; the home's ack
 			// is a single flit.
 			tEnd = p.mesh.Unicast(home, c.id, 1, t)
-			p.lockL1(c.id)
 			line := p.tiles[c.id].l1d.Probe(la)
 			if line == nil {
-				p.unlockL1(c.id)
-				if !p.relaxed() {
-					panic("sim: update upgrade without an L1 copy")
-				}
-				// Displaced concurrently; keep the timing, skip the
-				// mutation.
-				return tEnd, sharersLat
+				panic("sim: update upgrade without an L1 copy")
 			}
 			line.Util++
 			line.Version = ver
 			p.tiles[c.id].l1d.Touch(line, tEnd)
-			p.unlockL1(c.id)
 			return tEnd, sharersLat
 		}
 		// Write miss to a shared line: the requester joins the sharers
 		// with a full line fill carrying the committed word.
-		if !p.relaxed() || !entry.sharers.Contains(c.id) {
-			entry.sharers.Add(c.id)
-		}
+		entry.sharers.Add(c.id)
 		p.meter.DirUpdates++
 		p.meter.L2LineReads++
 		tEnd = p.mesh.Unicast(home, c.id, 9, t)
-		p.lockL1(c.id)
 		line := p.installLine(p, c, la, home, l2line, false, tEnd)
 		line.Util++
 		p.tiles[c.id].l1d.Touch(line, tEnd)
 		line.State = lineS
-		p.unlockL1(c.id)
 		return tEnd, sharersLat
 	}
 
@@ -357,12 +311,7 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 			entry.sharers.Remove(c.id)
 		}
 		if entry.sharers.Count() != 0 {
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			// Phantom registrations whose copies vanished under deferred
-			// eviction; their acks were already collected.
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
@@ -370,28 +319,19 @@ func (p *hybridProtocol) writePath(c *coreState, la mem.Addr, home int,
 		p.tiles[home].l2.Touch(l2line, t)
 		entry.busyUntil = t
 		tEnd = p.mesh.Unicast(home, c.id, 1, t)
-		p.lockL1(c.id)
 		line := p.tiles[c.id].l1d.Probe(la)
 		if line == nil {
-			p.unlockL1(c.id)
-			if !p.relaxed() {
-				panic("sim: upgrade without an L1 copy")
-			}
-			return tEnd, sharersLat
+			panic("sim: upgrade without an L1 copy")
 		}
 		line.Util++
 		p.tiles[c.id].l1d.Touch(line, tEnd)
 		line.State = lineM
 		line.Dirty = true
 		line.Version = p.goldenWrite(la)
-		p.unlockL1(c.id)
 		return tEnd, sharersLat
 	}
 	if entry.sharers.Count() != 0 {
-		if !p.relaxed() {
-			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-		}
-		entry.sharers.Clear()
+		panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 	}
 	p.tiles[home].l2.Touch(l2line, t)
 	entry.busyUntil = t
@@ -411,19 +351,11 @@ func (p *hybridProtocol) invalSharer(home int, la mem.Addr, id int, entry *dirEn
 		return tArr
 	}
 	tArr += mem.Cycle(p.cfg.L1DLatency)
-	p.lockL1(id)
 	line, ok := p.tiles[id].l1d.Invalidate(la)
 	if !ok {
-		p.unlockL1(id)
-		if !p.relaxed() {
-			panic(fmt.Sprintf("sim: invalidation of absent line %#x at tile %d", la, id))
-		}
-		// Displaced concurrently (deferred eviction in flight): acknowledge
-		// without data; the eviction notification accounts the removal.
-		return p.mesh.Unicast(id, home, 1, tArr)
+		panic(fmt.Sprintf("sim: invalidation of absent line %#x at tile %d", la, id))
 	}
 	p.cores[id].history.set(la, hInvalidated)
-	p.unlockL1(id)
 	flits := 1
 	if line.Dirty {
 		flits = 9
@@ -470,18 +402,10 @@ func (p *hybridProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	ht := &p.tiles[home]
 	entry := ht.dir.probe(la)
 	if entry == nil {
-		if p.relaxed() {
-			// Torn down by a concurrent L2 eviction or page move; the
-			// back-invalidation already accounted the removal.
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
 	}
 	l2line := ht.l2.Probe(la)
 	if l2line == nil {
-		if p.relaxed() {
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
@@ -492,7 +416,7 @@ func (p *hybridProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	if entry.owner == int16(c.id) {
 		entry.state = coherence.Uncached
 		entry.owner = -1
-	} else if !p.relaxed() || entry.sharers.Contains(c.id) {
+	} else {
 		entry.sharers.Remove(c.id)
 		if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
 			entry.state = coherence.Uncached
@@ -502,5 +426,5 @@ func (p *hybridProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	if p.cfg.TrackUtilization {
 		p.evictHist.Record(victim.Util)
 	}
-	p.setHistory(c.id, la, hEvicted)
+	c.history.set(la, hEvicted)
 }

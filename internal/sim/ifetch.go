@@ -170,10 +170,6 @@ func (s *Simulator) instrMiss(c *coreState, addr mem.Addr) {
 	l1l2 += tArr - t
 	t = tArr
 
-	// The replica-slice probe, fill and touch run under the slice's home
-	// lock (instruction fills can displace data lines, whose
-	// back-invalidation walks the same tile's directory).
-	s.lockHome(home)
 	ht := &s.tiles[home]
 	l2line := ht.l2.Probe(la)
 	if l2line == nil {
@@ -187,7 +183,6 @@ func (s *Simulator) instrMiss(c *coreState, addr mem.Addr) {
 	l1l2 += mem.Cycle(s.cfg.L2Latency)
 	ht.l2.Touch(l2line, t)
 	s.meter.L2LineReads++
-	s.unlockHome(home)
 
 	tEnd := s.mesh.Unicast(home, c.id, 9, t)
 	l1l2 += tEnd - t

@@ -57,7 +57,7 @@ func (p *mesiProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	var l1l2, wait, sharersLat, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := p.dataHome(addr, c.id)
+	home, recl := p.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		p.PageMove(recl, t)
 		t += mem.Cycle(p.cfg.PageMoveLatency)
@@ -70,9 +70,6 @@ func (p *mesiProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction — directory walk, sharer round
-	// trips, grant — runs under the home tile's lock.
-	p.lockHome(home)
 	entry, l2line, tDir, wait, fill := p.lookupEntry(p, c, home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(p.cfg.L2Latency)
@@ -96,9 +93,8 @@ func (p *mesiProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	entry.busyUntil = t
 
 	tEnd := p.grantLine(c, kind, la, home, entry, l2line, upgrade, t)
-	p.unlockHome(home)
 	l1l2 += tEnd - t
-	p.setHistory(c.id, la, hCached)
+	c.history.set(la, hCached)
 
 	c.l1d.Record(outcome)
 	c.bd.L1ToL2 += float64(l1l2)
@@ -122,12 +118,7 @@ func (p *mesiProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	if kind == mem.Write && !upgrade {
 		// invalidateSharers left the line uncached: a plain Modified fill.
 		if entry.sharers.Count() != 0 {
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			// Phantom registrations whose copies vanished under deferred
-			// eviction; their acks were already collected.
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		return p.grantModifiedFill(p, c, la, home, entry, l2line, t)
 	}
@@ -148,10 +139,7 @@ func (p *mesiProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 			entry.sharers.Remove(c.id)
 		}
 		if entry.sharers.Count() != 0 {
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
@@ -159,7 +147,6 @@ func (p *mesiProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	}
 
 	tEnd := p.mesh.Unicast(home, c.id, replyFlits, t)
-	p.lockL1(c.id)
 	line := p.installLine(p, c, la, home, l2line, upgrade, tEnd)
 
 	line.Util++
@@ -174,7 +161,6 @@ func (p *mesiProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	default:
 		line.State = lineS
 	}
-	p.unlockL1(c.id)
 	if kind == mem.Read && p.cfg.CheckValues {
 		p.checkVersion("private fill read", la, line.Version)
 	}

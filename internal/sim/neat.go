@@ -66,7 +66,7 @@ func (p *neatProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	var l1l2, wait, sharersLat, offchip mem.Cycle
 	l1l2 = t - t0
 
-	home, recl := p.dataHome(addr, c.id)
+	home, recl := p.nuca.DataHome(addr, c.id)
 	if recl != nil {
 		p.PageMove(recl, t)
 		t += mem.Cycle(p.cfg.PageMoveLatency)
@@ -79,9 +79,6 @@ func (p *neatProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	l1l2 += tArr - t
 	t = tArr
 
-	// The whole home-side transaction — directory walk, sharer round
-	// trips, grant — runs under the home tile's lock.
-	p.lockHome(home)
 	entry, l2line, tDir, wait, fill := p.lookupEntry(p, c, home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(p.cfg.L2Latency)
@@ -105,9 +102,8 @@ func (p *neatProtocol) missPath(c *coreState, kind mem.AccessKind, addr mem.Addr
 	entry.busyUntil = t
 
 	tEnd := p.grantLine(c, kind, la, home, entry, l2line, upgrade, t)
-	p.unlockHome(home)
 	l1l2 += tEnd - t
-	p.setHistory(c.id, la, hCached)
+	c.history.set(la, hCached)
 
 	c.l1d.Record(outcome)
 	c.bd.L1ToL2 += float64(l1l2)
@@ -131,12 +127,7 @@ func (p *neatProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	if kind == mem.Write && !upgrade {
 		// invalidateSharers left the line uncached: a plain Modified fill.
 		if entry.sharers.Count() != 0 {
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			// Phantom registrations whose copies vanished under deferred
-			// eviction; their acks were already collected.
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		return p.grantModifiedFill(p, c, la, home, entry, l2line, t)
 	}
@@ -158,10 +149,7 @@ func (p *neatProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 			entry.sharers.Remove(c.id)
 		}
 		if entry.sharers.Count() != 0 {
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
-			}
-			entry.sharers.Clear()
+			panic(fmt.Sprintf("sim: write grant with %d live sharers", entry.sharers.Count()))
 		}
 		entry.state = coherence.ModifiedState
 		entry.owner = int16(c.id)
@@ -169,7 +157,6 @@ func (p *neatProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	}
 
 	tEnd := p.mesh.Unicast(home, c.id, replyFlits, t)
-	p.lockL1(c.id)
 	line := p.installLine(p, c, la, home, l2line, upgrade, tEnd)
 
 	line.Util++
@@ -184,7 +171,6 @@ func (p *neatProtocol) grantLine(c *coreState, kind mem.AccessKind, la mem.Addr,
 	default:
 		line.State = lineS
 	}
-	p.unlockL1(c.id)
 	if kind == mem.Read && p.cfg.CheckValues {
 		p.checkVersion("private fill read", la, line.Version)
 	}
@@ -264,7 +250,6 @@ func (p *neatProtocol) invalidateSharers(home int, la mem.Addr, entry *dirEntry,
 // are already globally visible through the directory.
 func (p *neatProtocol) syncSelfInvalidate(c *coreState) {
 	p.selfScratch = p.selfScratch[:0]
-	p.lockL1(c.id)
 	l1 := p.tiles[c.id].l1d
 	l1.ForEach(func(l *cache.Line) {
 		if l.State == lineS {
@@ -272,31 +257,21 @@ func (p *neatProtocol) syncSelfInvalidate(c *coreState) {
 		}
 	})
 	for i := range p.selfScratch {
-		l1.Invalidate(p.selfScratch[i].Addr)
-		c.history.set(p.selfScratch[i].Addr, hInvalidated)
-	}
-	p.unlockL1(c.id)
-
-	for i := range p.selfScratch {
 		v := &p.selfScratch[i]
 		la, home := v.Addr, int(v.Home)
+		l1.Invalidate(la)
+		c.history.set(la, hInvalidated)
 		p.mesh.Unicast(c.id, home, 1, c.now)
-		p.lockHome(home)
 		entry := p.tiles[home].dir.probe(la)
 		if entry != nil && entry.state == coherence.SharedState {
-			// The overflow count stands in for unidentified sharers, so the
-			// relaxed guard must ask MaybeSharer, not Contains.
-			if !p.relaxed() || entry.sharers.MaybeSharer(c.id) {
-				entry.sharers.Remove(c.id)
-			}
+			entry.sharers.Remove(c.id)
 			if entry.sharers.Count() == 0 {
 				entry.state = coherence.Uncached
 			}
 			p.meter.DirUpdates++
-		} else if entry == nil && !p.relaxed() {
+		} else if entry == nil {
 			panic(fmt.Sprintf("sim: self-invalidation of line %#x without directory entry", la))
 		}
-		p.unlockHome(home)
 		p.selfInvals++
 	}
 }
@@ -304,8 +279,8 @@ func (p *neatProtocol) syncSelfInvalidate(c *coreState) {
 // L1Evict sends the eviction notification for a displaced L1 line: dirty
 // data folds back into the home line and the directory releases the
 // sharership. Unlike the full-map baselines, the sharer may be an
-// unidentified member of an overflowed set, so the relaxed guard asks
-// MaybeSharer (a strict-mode Remove decrements the overflow count).
+// unidentified member of an overflowed set, whose Remove decrements the
+// overflow count.
 func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	la := victim.Addr
 	home := int(victim.Home)
@@ -318,18 +293,10 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	ht := &p.tiles[home]
 	entry := ht.dir.probe(la)
 	if entry == nil {
-		if p.relaxed() {
-			// Torn down by a concurrent L2 eviction or page move; the
-			// back-invalidation already accounted the removal.
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
 	}
 	l2line := ht.l2.Probe(la)
 	if l2line == nil {
-		if p.relaxed() {
-			return
-		}
 		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
@@ -340,7 +307,7 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	if entry.owner == int16(c.id) {
 		entry.state = coherence.Uncached
 		entry.owner = -1
-	} else if !p.relaxed() || entry.sharers.MaybeSharer(c.id) {
+	} else {
 		entry.sharers.Remove(c.id)
 		if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
 			entry.state = coherence.Uncached
@@ -350,7 +317,7 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	if p.cfg.TrackUtilization {
 		p.evictHist.Record(victim.Util)
 	}
-	p.setHistory(c.id, la, hEvicted)
+	c.history.set(la, hEvicted)
 }
 
 // L2Evict back-invalidates every private copy of a displaced home line and
@@ -370,19 +337,11 @@ func (p *neatProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 	backInval := func(id int) {
 		tReq := p.mesh.Unicast(home, id, 1, t)
 		tReq += mem.Cycle(p.cfg.L1DLatency)
-		p.lockL1(id)
 		line, ok := p.tiles[id].l1d.Invalidate(la)
 		if !ok {
-			p.unlockL1(id)
-			if !p.relaxed() {
-				panic(fmt.Sprintf("sim: back-invalidation of absent line %#x at tile %d", la, id))
-			}
-			// Displaced concurrently; ack without data.
-			p.mesh.Unicast(id, home, 1, tReq)
-			return
+			panic(fmt.Sprintf("sim: back-invalidation of absent line %#x at tile %d", la, id))
 		}
 		p.cores[id].history.set(la, hEvicted)
-		p.unlockL1(id)
 		flits := 1
 		if line.Dirty {
 			flits = 9
@@ -433,10 +392,6 @@ func (p *neatProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 // miss unidentified sharers of an overflowed set).
 func (p *neatProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 	oldHome := recl.OldHome
-	// Callers invoke PageMove before taking the new home's lock, so the old
-	// home's lock nests inside nothing here.
-	p.lockHome(oldHome)
-	defer p.unlockHome(oldHome)
 	ht := &p.tiles[oldHome]
 	for i := 0; i < mem.PageBytes/mem.LineBytes; i++ {
 		la := recl.Page + mem.Addr(i*mem.LineBytes)

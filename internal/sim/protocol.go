@@ -125,26 +125,19 @@ type protocolCore interface {
 // state, writes hit on an E or M copy (E upgrades to M silently) — and
 // hands everything else to the protocol's miss path: a plain miss, or a
 // write to an S copy (an upgrade under invalidation protocols, an update
-// transaction under Dragon). The engine's monomorphic loops (engine.go)
-// inline this dispatch; the shared l1DataHit epilogue keeps the two paths
+// transaction under Dragon). The engine's batched loop (engine.go) inlines
+// this dispatch; the shared l1DataHit epilogue keeps the two paths
 // bit-identical by construction.
 func (s *Simulator) dataAccess(p protocolCore, c *coreState, kind mem.AccessKind, addr mem.Addr) {
 	la := mem.LineOf(addr)
-	// The requester's own L1 array is mutated by remote invalidations in
-	// the sharded engine, so even the hit path probes under the L1 lock
-	// (no-op when sequential).
-	s.lockL1(c.id)
 	if line := s.tiles[c.id].l1d.Probe(la); line != nil {
 		if kind == mem.Read || line.State != lineS {
 			s.l1DataHit(c, line, kind, la)
-			s.unlockL1(c.id)
 			return
 		}
-		s.unlockL1(c.id)
 		p.missPath(c, kind, addr, true)
 		return
 	}
-	s.unlockL1(c.id)
 	p.missPath(c, kind, addr, false)
 }
 
@@ -235,9 +228,7 @@ func (s *Simulator) missOutcome(c *coreState, la mem.Addr, upgrade bool) stats.M
 	if upgrade {
 		return stats.MissUpgrade
 	}
-	s.lockL1(c.id)
 	h := c.history.get(la)
-	s.unlockL1(c.id)
 	switch h {
 	case hNever:
 		return stats.MissCold
@@ -253,8 +244,6 @@ func (s *Simulator) missOutcome(c *coreState, la mem.Addr, upgrade bool) stats.M
 // tileHasCopy reports whether a tile holds the line privately — in its L1
 // or, under victim replication, as a local L2 replica.
 func (s *Simulator) tileHasCopy(id int, la mem.Addr) bool {
-	s.lockL1(id)
-	defer s.unlockL1(id)
 	if s.tiles[id].l1d.Probe(la) != nil {
 		return true
 	}

@@ -153,25 +153,10 @@ type Simulator struct {
 
 	// forceGeneric pins the run engine to the generic interface-dispatch
 	// loop even on the fast storage layout. The differential tests use it
-	// to prove the horizon-batched monomorphic loops (engine.go) execute
-	// bit-identically to the reference formulation, isolated from the
-	// storage-layout axis. The reference core always runs generic.
+	// to prove the horizon-batched loop (engine.go) executes bit-identically
+	// to the reference formulation, isolated from the storage-layout axis.
+	// The reference core always runs generic.
 	forceGeneric bool
-
-	// forceSharded pins the run engine to the sharded scheduler (shard.go)
-	// regardless of shardCount's gating, so the differential tests can
-	// replay the single-worker sharded engine — which must be bit-exact —
-	// against the generic one under every configuration.
-	forceSharded bool
-
-	// sh is the shard runtime while a sharded run is in flight (nil
-	// otherwise); shardIdx is this clone's worker index. pendEvict buffers
-	// deferred L1 eviction notifications and reclScratch the worker-private
-	// R-NUCA reclassification copy (see shard.go).
-	sh          *shardRuntime
-	shardIdx    int
-	pendEvict   []pendingEvict
-	reclScratch nuca.Reclassification
 
 	// faults are the seeded protocol defects for checker self-tests
 	// (machine.go). Deliberately outside Config — experiment fingerprints
@@ -378,8 +363,6 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.invalidations, s.bcastInvals, s.selfInvals = 0, 0, 0
 	s.replicaHits, s.replicaInserts, s.replicaEvictions = 0, 0, 0
 
-	s.pendEvict = s.pendEvict[:0]
-
 	s.cfg = cfg
 	s.fetch8 = fetchFixedPoint(cfg.FetchPerOp)
 	s.proto = newProtocol(s)
@@ -445,8 +428,8 @@ func (s *Simulator) Run(streams []trace.Stream) (*Result, error) {
 }
 
 // next returns the core's next trace operation, consuming whole chunks
-// from batch-capable streams. The engine's monomorphic loops inline the
-// buffered fast path and fall back to refill directly.
+// from batch-capable streams. The engine's batched loop inlines the
+// buffered fast path and falls back to refill directly.
 func (c *coreState) next() (mem.Access, bool) {
 	if c.bufIdx < len(c.buf) {
 		a := c.buf[c.bufIdx]
@@ -530,7 +513,7 @@ func (s *Simulator) maybeReleaseBarrier() {
 		c.bd.Sync += float64(release - c.barrierArrive)
 		c.now = release
 		c.waitingBarrier = false
-		s.enqueueRunnable(c.now, int32(i))
+		s.runQ.push(c.now, int32(i))
 	}
 	s.barrierN = 0
 }
@@ -549,7 +532,7 @@ func (s *Simulator) lockAcquire(c *coreState, id uint64) {
 		lat := mem.Cycle(s.cfg.LockLatency)
 		c.bd.Sync += float64(lat)
 		c.now += lat
-		s.enqueueRunnable(c.now, int32(c.id))
+		s.runQ.push(c.now, int32(c.id))
 		return
 	}
 	l.queue = append(l.queue, lockWaiter{core: c.id, arrival: c.now})
@@ -577,7 +560,7 @@ func (s *Simulator) lockRelease(c *coreState, id uint64) {
 	wc := &s.cores[w.core]
 	wc.bd.Sync += float64(grant - w.arrival)
 	wc.now = grant
-	s.enqueueRunnable(wc.now, int32(w.core))
+	s.runQ.push(wc.now, int32(w.core))
 }
 
 // collect aggregates per-core statistics into a Result.
@@ -676,13 +659,7 @@ func (s *Simulator) checkVersion(ctx string, la mem.Addr, ver uint64) {
 func (s *Simulator) removeDirEntry(home int, la mem.Addr, e *dirEntry) {
 	if e.cls != nil {
 		if !s.reference {
-			if s.sh != nil {
-				s.sh.poolMu.Lock()
-				s.clsPool.Put(e.cls)
-				s.sh.poolMu.Unlock()
-			} else {
-				s.clsPool.Put(e.cls)
-			}
+			s.clsPool.Put(e.cls)
 		}
 		e.cls = nil
 	}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -424,6 +425,65 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := sim.Default().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestConfigLimits is the table-driven boundary test for the packed-width
+// validation: core counts must fit the int16 tile ids used by directory
+// owner/sharer state (and the int32 run-queue ids), and unsupported
+// feature combinations reject through the typed FeatureError path.
+func TestConfigLimits(t *testing.T) {
+	valid := func(cores, width, mcs int) sim.Config {
+		cfg := sim.Default()
+		cfg.Cores, cfg.MeshWidth, cfg.MemControllers = cores, width, mcs
+		return cfg
+	}
+	tests := []struct {
+		name      string
+		mut       func(*sim.Config)
+		wantErr   bool
+		wantLimit bool
+	}{
+		// 32767 = 7 * 31 * 151, so MeshWidth 7 satisfies divisibility at the
+		// exact MaxCores boundary; one more core overflows the int16 tile
+		// ids packed through the directory and cache lines.
+		{"max-cores-ok", func(c *sim.Config) { *c = valid(1<<15-1, 7, 7) }, false, false},
+		{"cores-overflow", func(c *sim.Config) { *c = valid(1<<15, 8, 8) }, true, true},
+		// Unsupported feature combos reject through the typed FeatureError
+		// path (not LimitError): victim replication is adaptive-only.
+		{"victim-replication-dls", func(c *sim.Config) {
+			c.ProtocolKind = sim.ProtocolDLS
+			c.VictimReplication = true
+		}, true, false},
+		{"victim-replication-neat", func(c *sim.Config) {
+			c.ProtocolKind = sim.ProtocolNeat
+			c.VictimReplication = true
+		}, true, false},
+		{"victim-replication-hybrid", func(c *sim.Config) {
+			c.ProtocolKind = sim.ProtocolHybrid
+			c.VictimReplication = true
+		}, true, false},
+	}
+	for _, tc := range tests {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.Default()
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			if tc.wantErr && err == nil {
+				t.Fatal("Validate accepted an out-of-range config")
+			}
+			if !tc.wantErr && err != nil {
+				t.Fatalf("Validate rejected a valid config: %v", err)
+			}
+			var le *sim.LimitError
+			if got := errors.As(err, &le); got != tc.wantLimit {
+				t.Fatalf("LimitError presence = %v, want %v (err: %v)", got, tc.wantLimit, err)
+			}
+			if le != nil && le.Error() == "" {
+				t.Fatal("empty LimitError message")
+			}
+		})
 	}
 }
 

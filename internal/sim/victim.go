@@ -76,7 +76,7 @@ func (s *adaptiveProtocol) replicaRead(c *coreState, addr mem.Addr) bool {
 	l1 := s.tiles[c.id].l1d
 	line, victim, evicted := l1.Insert(la)
 	if evicted {
-		s.l1EvictNotify(s, c, victim, t)
+		s.L1Evict(c, victim, t)
 	}
 	s.meter.L1DWrites++ // line fill
 	line.State = lineS
@@ -151,10 +151,8 @@ func (s *adaptiveProtocol) notifyReplicaEviction(tile int, victim cache.Line, t 
 
 // invalidateTileCopy removes a tile's copy of a line wherever it lives —
 // the L1 or, under victim replication, the local L2 replica — returning
-// the removed line. It reports failure instead of panicking so the sharded
-// engine's relaxed mode can tolerate copies displaced by deferred
-// evictions; sequential callers treat false as a protocol invariant
-// violation (the directory's sharer bookkeeping is exact there).
+// the removed line. Callers treat false as a protocol invariant violation:
+// the directory's sharer bookkeeping is exact.
 func (s *Simulator) invalidateTileCopy(tile int, la mem.Addr) (cache.Line, bool) {
 	if line, ok := s.tiles[tile].l1d.Invalidate(la); ok {
 		return line, true
