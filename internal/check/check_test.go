@@ -21,20 +21,27 @@ func shallow(kind sim.ProtocolKind, ackwise int) Options {
 }
 
 // TestHealthyProtocolsBounded: no registered protocol violates SWMR or
-// the data-value invariant within the shallow bound.
+// the data-value invariant within the shallow bound, and each variant's
+// explored state space is exactly the recorded one. The counts are a
+// behavioural fingerprint of the protocol code under the checker: a
+// refactor that keeps every transition identical keeps them, and any
+// change to what a protocol does in some reachable state moves them.
 func TestHealthyProtocolsBounded(t *testing.T) {
 	variants := []struct {
 		name    string
 		kind    sim.ProtocolKind
 		ackwise int
+
+		states, transitions, depth int
+		truncated                  bool
 	}{
-		{"adaptive", sim.ProtocolAdaptive, 0},
-		{"adaptive-ackwise1", sim.ProtocolAdaptive, 1},
-		{"mesi", sim.ProtocolMESI, 0},
-		{"dragon", sim.ProtocolDragon, 0},
-		{"dls", sim.ProtocolDLS, 0},
-		{"neat", sim.ProtocolNeat, 0},
-		{"hybrid", sim.ProtocolHybrid, 0},
+		{"adaptive", sim.ProtocolAdaptive, 0, 705, 2392, 5, true},
+		{"adaptive-ackwise1", sim.ProtocolAdaptive, 1, 829, 2616, 5, true},
+		{"mesi", sim.ProtocolMESI, 0, 563, 2136, 5, true},
+		{"dragon", sim.ProtocolDragon, 0, 483, 1944, 5, true},
+		{"dls", sim.ProtocolDLS, 0, 25, 200, 3, false},
+		{"neat", sim.ProtocolNeat, 0, 679, 2360, 5, true},
+		{"hybrid", sim.ProtocolHybrid, 0, 655, 2232, 5, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -46,11 +53,12 @@ func TestHealthyProtocolsBounded(t *testing.T) {
 				t.Fatalf("unexpected %s violation: %s\npath: %v",
 					rep.Violation.Kind, rep.Violation.Detail, rep.Violation.Path)
 			}
-			if rep.States < 10 {
-				t.Fatalf("suspiciously small state space: %d states", rep.States)
+			if rep.States != v.states || rep.Transitions != v.transitions ||
+				rep.Depth != v.depth || rep.Truncated != v.truncated {
+				t.Fatalf("%s: %d states, %d transitions, depth %d, truncated=%v; want %d, %d, %d, %v",
+					rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated,
+					v.states, v.transitions, v.depth, v.truncated)
 			}
-			t.Logf("%s: %d states, %d transitions, depth %d, truncated=%v",
-				rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated)
 		})
 	}
 }
