@@ -25,8 +25,8 @@ package sim
 //   - An inlined hit path. The L1-hit fast path — tag probe via the core's
 //     MRU line hint, then the protocol-neutral hit epilogue — is inlined
 //     into the loop body and never leaves it; only a miss (or an upgrade)
-//     dispatches, through protocolCore.missPath, into the protocol's full
-//     transaction.
+//     dispatches, through protocolCore.dirMiss, into the shared directory
+//     transaction, which calls back into the protocol's policy.
 //
 // Keep runBatched in step with runGeneric + dataAccess (protocol.go).
 // Externally registered protocols that do not implement protocolCore, and
@@ -183,7 +183,7 @@ func (s *Simulator) runBatched(p protocolCore) error {
 				}
 				c.now += mem.Cycle(s.cfg.L1DLatency)
 			} else {
-				p.missPath(c, a.Kind, a.Addr, line != nil)
+				p.dirMiss(c, a.Kind, a.Addr, line != nil)
 			}
 			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
 				continue

@@ -10,16 +10,18 @@ import (
 	"lacc/internal/stats"
 )
 
-// Protocol is the pluggable coherence protocol. A Protocol owns the entire
-// L1 data path — hits, the full miss/transaction walk through the home
-// directory, and the directory state transitions — plus the reaction to
-// cache displacement at both levels and to R-NUCA page migration. The
-// simulator core provides the substrate (tiles, mesh, DRAM, golden store,
-// energy meter) and is protocol-agnostic.
+// Protocol is the pluggable coherence protocol as the engine and the
+// checker see it: the L1 data path, the reaction to cache displacement at
+// both levels and to R-NUCA page migration, and the protocol's private
+// counters. The simulator core provides the substrate (tiles, mesh, DRAM,
+// golden store, energy meter) and is protocol-agnostic.
 //
-// Implementations register themselves with RegisterProtocol under a
-// ProtocolKind; Config.ProtocolKind selects one per simulation. Six
-// implementations ship in this package:
+// The six built-in implementations share one directory transaction: they
+// embed dirProtocol (baseline.go), which owns the miss scaffold (dirMiss),
+// the line grant and the home-side release path, and each supplies only its
+// policy through protocolCore. Implementations register themselves with
+// RegisterProtocol under a ProtocolKind; Config.ProtocolKind selects one per
+// simulation:
 //
 //   - ProtocolAdaptive — the paper's locality-aware adaptive protocol
 //     (ACKwise directory, private/remote classification, remote word
@@ -32,10 +34,9 @@ import (
 //   - ProtocolDLS — a directoryless shared-LLC baseline (every data access
 //     is a remote word access at the home slice; no private caching, no
 //     directory state), in dls.go,
-//   - ProtocolNeat — a low-complexity coherence baseline with bounded
-//     sharer metadata (one pointer plus an overflow count) and
-//     self-invalidation of shared copies at synchronization points, in
-//     neat.go,
+//   - ProtocolNeat — MESI with bounded sharer metadata (one pointer plus an
+//     overflow count) and self-invalidation of shared copies at
+//     synchronization points, in neat.go,
 //   - ProtocolHybrid — per-line MESI/Dragon switching driven by the
 //     locality classifier (private-mode sharers receive Dragon word
 //     updates, remote-mode sharers are MESI-invalidated), in hybrid.go.
@@ -110,15 +111,24 @@ func newProtocol(s *Simulator) Protocol {
 // protocol implementation (and the instruction-fetch path); they touch no
 // protocol-specific state.
 
-// protocolCore is the slice of a protocol implementation the shared
-// helpers call back into: the protocol's miss/transaction walk and its
-// directory-entry initializer (classifier-bearing for adaptive,
-// classifier-free full-map for the baselines). initDirEntry receives a
-// zeroed entry whose sharer set is already bound to the directory's
-// identity arena.
+// protocolCore is a built-in protocol's policy: the decisions the shared
+// directory transaction (dirProtocol) leaves to it. The engine dispatches
+// misses through dirMiss, which is the shared scaffold unless a protocol
+// puts a prelude in front of it (adaptive's victim replication).
 type protocolCore interface {
-	missPath(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool)
-	initDirEntry(e *dirEntry)
+	Protocol
+	dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool)
+	// resolve is the home's decision for one request, reached by dirMiss
+	// at time t once the home holds the line (entry is nil without a
+	// directory): owner fetch, invalidation or update fan-out, then a line
+	// grant or a word reply. It returns the time the reply reaches the
+	// requester, the part of the elapsed time spent on the sharers, and the
+	// requester's new history with the line (hCached or hRemote).
+	resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int, entry *dirEntry,
+		l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8)
+	// dropped is the directory's reaction when tile id's copy leaves for
+	// the given cause, util being the copy's utilization counter.
+	dropped(entry *dirEntry, id int, util uint32, why dropCause)
 }
 
 // dataAccess executes the protocol-neutral L1 hit path — reads hit in any
@@ -135,10 +145,10 @@ func (s *Simulator) dataAccess(p protocolCore, c *coreState, kind mem.AccessKind
 			s.l1DataHit(c, line, kind, la)
 			return
 		}
-		p.missPath(c, kind, addr, true)
+		p.dirMiss(c, kind, addr, true)
 		return
 	}
-	p.missPath(c, kind, addr, false)
+	p.dirMiss(c, kind, addr, false)
 }
 
 // l1DataHit completes a data access that hits in the requester's L1:
@@ -162,63 +172,133 @@ func (s *Simulator) l1DataHit(c *coreState, line *cache.Line, kind mem.AccessKin
 	c.now += mem.Cycle(s.cfg.L1DLatency)
 }
 
+// dirMiss is the directory miss transaction every built-in protocol
+// shares: the L1 probe, the R-NUCA home lookup (with any page migration it
+// triggers), the request to the home, the home lookup, then the protocol's
+// resolve step, and finally the miss classification, the completion-time
+// breakdown and the core's clock. upgrade marks a write to the core's own S
+// copy.
+func (d *dirProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool) {
+	la := mem.LineOf(addr)
+	t0 := c.now
+	if kind == mem.Write {
+		d.meter.L1DWrites++
+	} else {
+		d.meter.L1DReads++
+	}
+
+	// L1 tag probe detected the miss (or the S state of the written copy).
+	t := t0 + mem.Cycle(d.cfg.L1DLatency)
+	var offchip mem.Cycle
+	l1l2 := t - t0
+
+	home, recl := d.nuca.DataHome(addr, c.id)
+	if recl != nil {
+		d.PageMove(recl, t)
+		t += mem.Cycle(d.cfg.PageMoveLatency)
+		offchip += mem.Cycle(d.cfg.PageMoveLatency)
+	}
+
+	// Request message: a header flit, plus the data word on writes when
+	// the protocol commits writes at the home (Section 3.6).
+	reqFlits := 1
+	if kind == mem.Write && d.wordRequests {
+		reqFlits = 2
+	}
+	tArr := d.mesh.Unicast(c.id, home, reqFlits, t)
+	l1l2 += tArr - t
+	t = tArr
+
+	entry, l2line, tDir, wait, fill := d.lookupEntry(c, home, la, t)
+	offchip += fill
+	l1l2 += mem.Cycle(d.cfg.L2Latency)
+	t = tDir
+
+	outcome := d.missOutcome(c, la, upgrade)
+
+	tEnd, sharersLat, h := d.pol.resolve(c, kind, la, home, entry, l2line, upgrade, t)
+	l1l2 += tEnd - t - sharersLat
+	c.history.set(la, h)
+
+	c.l1d.Record(outcome)
+	c.bd.L1ToL2 += float64(l1l2)
+	c.bd.L2Waiting += float64(wait)
+	c.bd.L2Sharers += float64(sharersLat)
+	c.bd.OffChip += float64(offchip)
+	if d.cfg.CheckValues {
+		if sum := l1l2 + wait + sharersLat + offchip; sum != tEnd-t0 {
+			panic(fmt.Sprintf("sim: latency components %d != total %d", sum, tEnd-t0))
+		}
+	}
+	c.now = tEnd
+}
+
 // lookupEntry walks the home slice for la at time t for requester c: it
-// fills the L2 from DRAM when absent (allocating a directory entry through
-// the protocol), serializes on the line's busy window, and charges the L2
-// access. It returns the entry, the line, the advanced time and the
-// wait/off-chip latency components.
+// fills the L2 from DRAM when absent (allocating a directory entry),
+// serializes on the line's busy window, and charges the L2 access. It
+// returns the entry, the line, the advanced time and the wait/off-chip
+// latency components. Without a directory (DLS) it reads the line only:
+// the entry is nil and there is no busy window — the engine's
+// one-transaction-at-a-time execution is the only ordering the single
+// point of coherence needs.
 //
 // Both home-side lookups are accelerated by per-core MRU hints: a core
 // performing word-granular remote accesses walks the same (home, line)
-// transaction back to back, so the directory slot (epoch-guarded against
-// table reallocation, see dirTable.epoch) and the home L2 line
-// (cache.Holds) usually validate without a probe. Hints are probe results
+// transaction back to back, so the home L2 line (cache.Holds) and the
+// directory slot (epoch-guarded against table reallocation, see
+// dirTable.epoch) usually validate without a probe. Hints are probe results
 // only — validation failure falls back to the full probes — so behavior is
 // bit-identical with or without them.
-func (s *Simulator) lookupEntry(p protocolCore, c *coreState, home int, la mem.Addr, t mem.Cycle) (
+func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cycle) (
 	entry *dirEntry, l2line *cache.Line, tOut, wait, offchip mem.Cycle) {
 
-	ht := &s.tiles[home]
-	if d := ht.dir.flat; d != nil {
-		// An epoch match guarantees dirHintIdx was taken against the
-		// current arrays, so the bounds and the key comparison are sound;
-		// removal tombstones and wholesale clears rewrite the key word, so
-		// a stale hint can never validate.
-		if c.dirHintTile == int32(home) && c.dirHintEpoch == d.epoch &&
-			d.keys[c.dirHintIdx] == mem.LineKey(la) {
-			entry = &d.entries[c.dirHintIdx]
-		} else if i := d.probeIdx(la); i >= 0 {
-			entry = &d.entries[i]
-			c.dirHintIdx, c.dirHintEpoch, c.dirHintTile = int32(i), d.epoch, int32(home)
-		}
-	} else {
-		entry = ht.dir.probe(la)
-	}
+	ht := &d.tiles[home]
+	filled := false
 	if hl := c.l2Hint; c.l2HintTile == int32(home) && ht.l2.Holds(hl, la) {
 		l2line = hl
 	} else if l2line = ht.l2.Probe(la); l2line != nil {
 		c.l2Hint, c.l2HintTile = l2line, int32(home)
-	}
-	if l2line == nil {
-		if entry != nil {
-			panic(fmt.Sprintf("sim: directory entry without L2 line %#x", la))
-		}
+	} else {
 		var fillDone mem.Cycle
-		l2line, fillDone = s.l2Fill(home, la, t)
+		l2line, fillDone = d.l2Fill(home, la, t)
 		offchip = fillDone - t
 		t = fillDone
-		entry = ht.dir.insert(la)
-		p.initDirEntry(entry)
-	} else if entry == nil {
-		panic(fmt.Sprintf("sim: data access to instruction line %#x", la))
+		filled = true
 	}
 
+	if d.noDirectory {
+		return nil, l2line, t + mem.Cycle(d.cfg.L2Latency), 0, offchip
+	}
+	if filled {
+		if ht.dir.probe(la) != nil {
+			panic(fmt.Sprintf("sim: directory entry without L2 line %#x", la))
+		}
+		entry = ht.dir.insert(la)
+		d.initDirEntry(entry)
+	} else if dt := ht.dir.flat; dt != nil {
+		// An epoch match guarantees dirHintIdx was taken against the
+		// current arrays, so the bounds and the key comparison are sound;
+		// removal tombstones and wholesale clears rewrite the key word, so
+		// a stale hint can never validate.
+		if c.dirHintTile == int32(home) && c.dirHintEpoch == dt.epoch &&
+			dt.keys[c.dirHintIdx] == mem.LineKey(la) {
+			entry = &dt.entries[c.dirHintIdx]
+		} else if i := dt.probeIdx(la); i >= 0 {
+			entry = &dt.entries[i]
+			c.dirHintIdx, c.dirHintEpoch, c.dirHintTile = int32(i), dt.epoch, int32(home)
+		}
+	} else {
+		entry = ht.dir.probe(la)
+	}
+	if entry == nil {
+		panic(fmt.Sprintf("sim: data access to instruction line %#x", la))
+	}
 	if entry.busyUntil > t {
 		wait = entry.busyUntil - t
 		t += wait
 	}
-	t += mem.Cycle(s.cfg.L2Latency)
-	s.meter.DirLookups++
+	t += mem.Cycle(d.cfg.L2Latency)
+	d.meter.DirLookups++
 	return entry, l2line, t, wait, offchip
 }
 
@@ -244,15 +324,7 @@ func (s *Simulator) missOutcome(c *coreState, la mem.Addr, upgrade bool) stats.M
 // tileHasCopy reports whether a tile holds the line privately — in its L1
 // or, under victim replication, as a local L2 replica.
 func (s *Simulator) tileHasCopy(id int, la mem.Addr) bool {
-	if s.tiles[id].l1d.Probe(la) != nil {
-		return true
-	}
-	if s.cfg.VictimReplication {
-		if rl := s.tiles[id].l2.Probe(la); rl != nil && rl.State == lineReplica {
-			return true
-		}
-	}
-	return false
+	return s.tiles[id].l1d.Probe(la) != nil || s.replicaOf(id, la) != nil
 }
 
 // l2Fill brings a line into the home L2 slice from DRAM and returns the new

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lacc/internal/cache"
-	"lacc/internal/coherence"
 	"lacc/internal/mem"
 	"lacc/internal/stats"
 )
@@ -19,9 +18,11 @@ import (
 // irrespective of whether it will be reused — is observable here as local
 // L2 slice pressure and replica evictions.
 //
-// Victim replication rides on the adaptive protocol's directory walk
-// (Config.Validate rejects it under other protocols), so these helpers are
-// adaptiveProtocol methods.
+// Victim replication rides on the shared directory walk: the release path
+// (baseline.go) calls tryReplicate and notifyReplicaEviction behind
+// Config.VictimReplication, which Config.Validate accepts only under the
+// adaptive protocol, and the adaptive miss path runs replicaRead and
+// dropOwnReplica in front of the shared miss scaffold.
 
 // isReplica approves only replica lines for displacement: replicas must
 // never evict home lines.
@@ -31,7 +32,7 @@ func isReplica(l *cache.Line) bool { return l.State == lineReplica }
 // L2 slice. On success the home directory is left untouched (the tile is
 // still a sharer) and no message is sent. It reports whether the victim
 // was absorbed.
-func (s *adaptiveProtocol) tryReplicate(c *coreState, victim cache.Line, t mem.Cycle) bool {
+func (s *dirProtocol) tryReplicate(c *coreState, victim cache.Line, t mem.Cycle) bool {
 	if victim.Dirty || (victim.State != lineS && victim.State != lineE) {
 		return false // only clean data is replicated
 	}
@@ -114,18 +115,9 @@ func (s *adaptiveProtocol) dropOwnReplica(c *coreState, la mem.Addr) (util uint3
 // dropSharershipAtHome applies a replica drop at the home directory: the
 // tile stops being a sharer (or, for a clean-Exclusive replica, stops
 // being the registered owner) and its frozen utilization classifies it.
-func (s *adaptiveProtocol) dropSharershipAtHome(entry *dirEntry, tile int, util uint32) {
-	if (entry.state == coherence.ExclusiveState || entry.state == coherence.ModifiedState) &&
-		int(entry.owner) == tile {
-		entry.state = coherence.Uncached
-		entry.owner = -1
-	} else {
-		entry.sharers.Remove(tile)
-		if entry.sharers.Count() == 0 && entry.state == coherence.SharedState {
-			entry.state = coherence.Uncached
-		}
-	}
-	s.classifyRemoval(entry, tile, util, true)
+func (s *dirProtocol) dropSharershipAtHome(entry *dirEntry, tile int, util uint32) {
+	releaseHolder(entry, tile)
+	s.pol.dropped(entry, tile, util, dropEvict)
 	if s.cfg.TrackUtilization {
 		s.evictHist.Record(util)
 	}
@@ -135,7 +127,7 @@ func (s *adaptiveProtocol) dropSharershipAtHome(entry *dirEntry, tile int, util 
 // the tile stops being a sharer and the frozen utilization classifies the
 // core, exactly as an L1 eviction notification would (replicas are always
 // clean, so the message is a single flit).
-func (s *adaptiveProtocol) notifyReplicaEviction(tile int, victim cache.Line, t mem.Cycle) {
+func (s *dirProtocol) notifyReplicaEviction(tile int, victim cache.Line, t mem.Cycle) {
 	la := victim.Addr
 	home := int(victim.Home)
 	s.mesh.Unicast(tile, home, 1, t)
@@ -149,6 +141,17 @@ func (s *adaptiveProtocol) notifyReplicaEviction(tile int, victim cache.Line, t 
 	s.cores[tile].history.set(la, hEvicted)
 }
 
+// replicaOf returns a tile's victim-replication replica of a line, if any.
+func (s *Simulator) replicaOf(tile int, la mem.Addr) *cache.Line {
+	if !s.cfg.VictimReplication {
+		return nil
+	}
+	if rl := s.tiles[tile].l2.Probe(la); rl != nil && rl.State == lineReplica {
+		return rl
+	}
+	return nil
+}
+
 // invalidateTileCopy removes a tile's copy of a line wherever it lives —
 // the L1 or, under victim replication, the local L2 replica — returning
 // the removed line. Callers treat false as a protocol invariant violation:
@@ -157,12 +160,9 @@ func (s *Simulator) invalidateTileCopy(tile int, la mem.Addr) (cache.Line, bool)
 	if line, ok := s.tiles[tile].l1d.Invalidate(la); ok {
 		return line, true
 	}
-	if s.cfg.VictimReplication {
-		l2 := s.tiles[tile].l2
-		if rl := l2.Probe(la); rl != nil && rl.State == lineReplica {
-			line, _ := l2.Invalidate(la)
-			return line, true
-		}
+	if s.replicaOf(tile, la) != nil {
+		line, _ := s.tiles[tile].l2.Invalidate(la)
+		return line, true
 	}
 	return cache.Line{}, false
 }
