@@ -107,9 +107,10 @@ func newProtocol(s *Simulator) Protocol {
 	return protocolFactories[s.cfg.protocolKind()](s)
 }
 
-// Shared protocol-neutral machinery. The helpers below are used by every
-// protocol implementation (and the instruction-fetch path); they touch no
-// protocol-specific state.
+// Shared machinery. The hit path, the miss scaffold and the home lookup
+// below serve every protocol implementation (l2Fill also the
+// instruction-fetch path); protocol decisions are reached only through
+// protocolCore.
 
 // protocolCore is a built-in protocol's policy: the decisions the shared
 // directory transaction (dirProtocol) leaves to it. The engine dispatches
