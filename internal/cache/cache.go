@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lacc/internal/mem"
 )
@@ -70,6 +71,15 @@ type Cache struct {
 	// it, so Reset only has to clear tags — the far larger Line array is
 	// left dirty and re-initialized way by way as lines are inserted.
 	tags []mem.Addr
+	// occ has one bit per set, raised by every insertion into the set and
+	// cleared only by Reset: a clear bit proves the set's tags are all
+	// free. Whole-cache walks (Reset, ForEach, CountValid) visit only the
+	// flagged sets, so they cost what the cache has held since the last
+	// Reset rather than its capacity — the difference between a few lines
+	// and a 256 KB L2 slice for the model checker, which resets and audits
+	// the machine once per explored transition. Invalidate leaves the bit
+	// up; a flagged set with no held line is merely rescanned.
+	occ  []uint64
 	tick uint64
 
 	// Evictions counts lines displaced by Insert.
@@ -93,16 +103,41 @@ func New(sizeBytes, ways int) *Cache {
 	}
 	// Zeroed tags mean every way is free; the Line records need no
 	// initialization at all (see the tags field comment).
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, sets*ways), tags: make([]mem.Addr, sets*ways)}
+	return &Cache{
+		sets: sets, ways: ways,
+		lines: make([]Line, sets*ways),
+		tags:  make([]mem.Addr, sets*ways),
+		occ:   make([]uint64, (sets+63)/64),
+	}
+}
+
+// mark flags set as possibly occupied (see the occ field).
+func (c *Cache) mark(set int) { c.occ[set>>6] |= 1 << (set & 63) }
+
+// flaggedSets calls fn, in ascending set order, with the tag-array span
+// [lo, hi) of every run of adjacent sets flagged within one occ word, so a
+// full cache is walked in spans of 64 sets rather than set by set.
+func (c *Cache) flaggedSets(fn func(lo, hi int)) {
+	for w, word := range c.occ {
+		for word != 0 {
+			first := bits.TrailingZeros64(word)
+			n := bits.TrailingZeros64(^(word >> first)) // run length
+			word &^= (1<<n - 1) << first
+			set := w<<6 + first
+			fn(set*c.ways, (set+n)*c.ways)
+		}
+	}
 }
 
 // Reset invalidates every line and zeroes the replacement clock and
 // eviction counter, returning the cache to a state behaviorally identical
-// to post-New without reallocating. Only the tag array is cleared: the
-// stale Line records behind freed ways are unreachable (all queries gate
-// on tags) and are overwritten on their next insertion.
+// to post-New without reallocating. Only the tags of sets flagged in occ
+// are cleared — every other set's tags are already free: the stale Line
+// records behind freed ways are unreachable (all queries gate on tags)
+// and are overwritten on their next insertion.
 func (c *Cache) Reset() {
-	clear(c.tags)
+	c.flaggedSets(func(lo, hi int) { clear(c.tags[lo:hi]) })
+	clear(c.occ)
 	c.tick = 0
 	c.Evictions = 0
 }
@@ -162,7 +197,8 @@ func (c *Cache) Touch(l *Line, now mem.Cycle) {
 func (c *Cache) Insert(a mem.Addr) (l *Line, victim Line, evicted bool) {
 	la := mem.LineOf(a)
 	key := tagOf(la)
-	base := c.SetOf(a) * c.ways
+	set := c.SetOf(a)
+	base := set * c.ways
 	var victimIdx = -1
 	var victimLRU uint64 = ^uint64(0)
 	for i := 0; i < c.ways; i++ {
@@ -187,6 +223,7 @@ place:
 	l = &c.lines[base+victimIdx]
 	*l = Line{Valid: true, Addr: la}
 	c.tags[base+victimIdx] = key
+	c.mark(set)
 	return l, victim, evicted
 }
 
@@ -198,7 +235,8 @@ place:
 func (c *Cache) TryInsert(a mem.Addr, canEvict func(*Line) bool) (l *Line, victim Line, evicted bool) {
 	la := mem.LineOf(a)
 	key := tagOf(la)
-	base := c.SetOf(a) * c.ways
+	set := c.SetOf(a)
+	base := set * c.ways
 	victimIdx := -1
 	var victimLRU uint64 = ^uint64(0)
 	for i := 0; i < c.ways; i++ {
@@ -207,6 +245,7 @@ func (c *Cache) TryInsert(a mem.Addr, canEvict func(*Line) bool) (l *Line, victi
 			l = &c.lines[base+i]
 			*l = Line{Valid: true, Addr: la}
 			c.tags[base+i] = key
+			c.mark(set)
 			return l, Line{}, false
 		}
 		if tag == key {
@@ -225,6 +264,7 @@ func (c *Cache) TryInsert(a mem.Addr, canEvict func(*Line) bool) (l *Line, victi
 	l = &c.lines[base+victimIdx]
 	*l = Line{Valid: true, Addr: la}
 	c.tags[base+victimIdx] = key
+	c.mark(set)
 	return l, victim, true
 }
 
@@ -278,24 +318,23 @@ func (c *Cache) MinLastAccess(a mem.Addr) (min mem.Cycle, full bool) {
 	return min, full
 }
 
-// ForEach calls fn for every held line. Used by drain/flush paths and
-// tests; fn must not insert or invalidate concurrently.
+// ForEach calls fn for every held line in tag-array order (ascending set,
+// then way), visiting only the sets flagged in occ. Used by drain/flush
+// paths, Audit and tests; fn must not insert or invalidate concurrently.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i, tag := range c.tags {
-		if tag != tagFree {
-			fn(&c.lines[i])
+	c.flaggedSets(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if c.tags[i] != tagFree {
+				fn(&c.lines[i])
+			}
 		}
-	}
+	})
 }
 
 // CountValid returns the number of held lines (test helper and occupancy
 // metric).
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, tag := range c.tags {
-		if tag != tagFree {
-			n++
-		}
-	}
+	c.ForEach(func(*Line) { n++ })
 	return n
 }

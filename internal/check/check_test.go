@@ -63,6 +63,38 @@ func TestHealthyProtocolsBounded(t *testing.T) {
 	}
 }
 
+// TestCheckGateDepth12: the state space the CI model-check gate and the
+// benchmark's check workload explore — adaptive and MESI, 2 cores x 2
+// lines, default bounds (depth 12) — pinned exactly. The shallow table
+// above misses whatever a protocol does only deeper than depth 5.
+func TestCheckGateDepth12(t *testing.T) {
+	variants := []struct {
+		kind                       sim.ProtocolKind
+		states, transitions, depth int
+	}{
+		{sim.ProtocolAdaptive, 25268, 141968, 12},
+		{sim.ProtocolMESI, 10363, 62056, 12},
+	}
+	for _, v := range variants {
+		t.Run(string(v.kind), func(t *testing.T) {
+			rep, err := Run(Options{Config: Bound(v.kind, 2, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Violation != nil {
+				t.Fatalf("unexpected %s violation: %s\npath: %v",
+					rep.Violation.Kind, rep.Violation.Detail, rep.Violation.Path)
+			}
+			if rep.States != v.states || rep.Transitions != v.transitions ||
+				rep.Depth != v.depth || !rep.Truncated {
+				t.Fatalf("%s: %d states, %d transitions, depth %d, truncated=%v; want %d, %d, %d, true",
+					rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated,
+					v.states, v.transitions, v.depth)
+			}
+		})
+	}
+}
+
 // requireViolation runs opts and asserts the checker finds a violation of
 // the given kind whose counterexample trace fails when replayed with the
 // seeded fault and passes on a healthy simulator — the full closed loop

@@ -12,7 +12,9 @@
 //   - key 0 is the empty-slot sentinel — callers key by index+1 (see
 //     mem.LineKey) so real keys are never zero;
 //   - key and value share a slot, so a lookup touches one cache line;
-//   - no deletion (none of the backed stores ever remove entries).
+//   - no deletion (none of the backed stores ever remove entries);
+//   - an Occupancy bitmap makes Clear and ForEach cost what the table
+//     holds, not its capacity.
 package flatmap
 
 import "math/bits"
@@ -26,6 +28,7 @@ type slot[V any] struct {
 // usable; construct with New.
 type Table[V any] struct {
 	slots []slot[V]
+	occ   Occupancy // blocks of slots that may hold a key
 	mask  uint64
 	shift uint
 	live  int
@@ -45,6 +48,7 @@ func New[V any](capacity int) *Table[V] {
 
 func (t *Table[V]) alloc(capacity int) {
 	t.slots = make([]slot[V], capacity)
+	t.occ = NewOccupancy(capacity)
 	t.mask = uint64(capacity - 1)
 	t.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
 	t.live = 0
@@ -89,6 +93,7 @@ func (t *Table[V]) Slot(key uint64) *V {
 		case 0:
 			s.key = key
 			t.live++
+			t.occ.Mark(i)
 			return &s.val
 		}
 		i = (i + 1) & t.mask
@@ -108,27 +113,75 @@ func (t *Table[V]) grow() {
 		}
 		t.slots[j] = old[i]
 		t.live++
+		t.occ.Mark(j)
 	}
 }
 
 // Clear removes every stored key, keeping the grown capacity so a reused
 // table re-fills without re-growing. Lookups and insertion behave exactly
-// as on a fresh table. Clearing an already-empty table is free, so
-// unconditional clears of rarely-used stores (e.g. the version stores with
-// the functional checker off) cost nothing.
+// as on a fresh table. Only the blocks flagged in occ are wiped, so a
+// clear costs what the table held, and clearing an already-empty table is
+// free — unconditional clears of rarely-used stores (e.g. the version
+// stores with the functional checker off) cost nothing.
 func (t *Table[V]) Clear() {
 	if t.live == 0 {
 		return
 	}
-	clear(t.slots)
+	t.occ.ForEach(func(lo, hi int) { clear(t.slots[lo:hi]) })
+	t.occ.Reset()
 	t.live = 0
 }
 
-// ForEach visits every stored (key, value) pair in unspecified order.
+// ForEach visits every stored (key, value) pair in ascending slot order
+// (which is unspecified with respect to the keys).
 func (t *Table[V]) ForEach(fn func(key uint64, v V)) {
-	for i := range t.slots {
-		if key := t.slots[i].key; key != 0 {
-			fn(key, t.slots[i].val)
+	t.occ.ForEach(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if key := t.slots[i].key; key != 0 {
+				fn(key, t.slots[i].val)
+			}
+		}
+	})
+}
+
+// Occupancy is a "may be occupied" bitmap over a slot array: one bit per
+// block of 8 slots, raised when a key lands in the block and lowered only
+// by Reset. A clear bit proves every slot of its block is empty, so
+// whole-array walks visit only flagged blocks. The directory table in
+// internal/sim keeps one over its key array too.
+type Occupancy []uint64
+
+// occBlockShift sets the granularity: one bit per 1<<occBlockShift slots.
+// Slot arrays have power-of-two lengths of at least 8, so no block is
+// partial.
+const occBlockShift = 3
+
+// NewOccupancy returns an all-clear bitmap over capacity slots.
+func NewOccupancy(capacity int) Occupancy {
+	return make(Occupancy, (capacity>>occBlockShift+63)/64)
+}
+
+// Mark flags the block holding slot i.
+func (o Occupancy) Mark(i uint64) {
+	b := i >> occBlockShift
+	o[b>>6] |= 1 << (b & 63)
+}
+
+// Reset lowers every bit.
+func (o Occupancy) Reset() { clear(o) }
+
+// ForEach calls fn, in ascending order, with the slot span [lo, hi) of
+// every run of adjacent flagged blocks within one bitmap word, so a densely
+// occupied array is walked in spans of up to 512 slots rather than block by
+// block.
+func (o Occupancy) ForEach(fn func(lo, hi int)) {
+	for w, word := range o {
+		for word != 0 {
+			first := bits.TrailingZeros64(word)
+			n := bits.TrailingZeros64(^(word >> first)) // run length
+			word &^= (1<<n - 1) << first
+			lo := w<<6 + first
+			fn(lo<<occBlockShift, (lo+n)<<occBlockShift)
 		}
 	}
 }

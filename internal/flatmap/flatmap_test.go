@@ -67,3 +67,64 @@ func TestCapacityRounding(t *testing.T) {
 		}
 	}
 }
+
+// TestOccupancyMatchesFullScan checks the occupancy bitmap against a Go
+// map and a scan of every slot. Random Slot sequences grow a tiny table
+// many times over, interleaved with Clears. After every operation ForEach
+// must visit exactly the occupied slots, in slot order, with the map's
+// values; after every Clear no slot may hold a key and no key cleared away
+// may still be found.
+func TestOccupancyMatchesFullScan(t *testing.T) {
+	type kv struct{ k, v uint64 }
+	scan := func(table *Table[uint64]) []kv {
+		var out []kv
+		for _, s := range table.slots {
+			if s.key != 0 {
+				out = append(out, kv{s.key, s.val})
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(11))
+	table := New[uint64](8)
+	ref := map[uint64]uint64{}
+	clears := 0
+	for step := 0; step < 30000; step++ {
+		if rng.Intn(500) == 0 {
+			table.Clear()
+			clears++
+			if got := scan(table); len(got) != 0 {
+				t.Fatalf("step %d: %d slots hold keys after Clear", step, len(got))
+			}
+			for k := range ref {
+				if _, ok := table.Get(k); ok {
+					t.Fatalf("step %d: key %d found after Clear", step, k)
+				}
+			}
+			clear(ref)
+		} else {
+			// Keys spread over a range the table grows to cover, so
+			// blocks fill unevenly and many stay empty.
+			k := uint64(1 + rng.Intn(1<<12))
+			v := rng.Uint64()
+			*table.Slot(k) = v
+			ref[k] = v
+		}
+		want := scan(table)
+		var got []kv
+		table.ForEach(func(k, v uint64) { got = append(got, kv{k, v}) })
+		if len(got) != len(want) || len(got) != len(ref) || table.Len() != len(ref) {
+			t.Fatalf("step %d: ForEach visited %d, full scan %d, map %d, Len %d",
+				step, len(got), len(want), len(ref), table.Len())
+		}
+		for i := range want {
+			if got[i] != want[i] || ref[got[i].k] != got[i].v {
+				t.Fatalf("step %d: ForEach visit %d is %v, full scan %v, map value %d",
+					step, i, got[i], want[i], ref[got[i].k])
+			}
+		}
+	}
+	if clears == 0 || len(table.slots) < 1<<12 {
+		t.Fatalf("sequence made %d clears and grew to %d slots", clears, len(table.slots))
+	}
+}

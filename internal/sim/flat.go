@@ -55,7 +55,10 @@ const (
 // so a directory entry's whole footprint — entry, sharer identities — is
 // flat arrays with no per-entry allocation. Because the key array is
 // authoritative, wholesale clearing only wipes keys: entry records behind
-// free slots are unreachable and re-initialized on insertion.
+// free slots are unreachable and re-initialized on insertion. An
+// occupancy bitmap over the key array (flatmap.Occupancy, one bit per
+// 8-slot block, raised by insert and grow) lets clearAll and forEach skip
+// blocks that have held no key since the last clear.
 //
 // Pointer stability: pointers returned by probe/insert remain valid until
 // the next insert (which may grow and relocate the table); remove only
@@ -63,10 +66,11 @@ const (
 // performs at most one insert per transaction (in lookupEntry), before any
 // entry pointer is retained.
 type dirTable struct {
-	keys    []uint64   // dirKeyEmpty, dirKeyDead, or mem.LineKey
-	entries []dirEntry // parallel to keys
-	arena   []int16    // len(keys) * p sharer identities
-	p       int        // sharer pointers per entry
+	keys    []uint64          // dirKeyEmpty, dirKeyDead, or mem.LineKey
+	entries []dirEntry        // parallel to keys
+	occ     flatmap.Occupancy // blocks of keys that may be non-empty
+	arena   []int16           // len(keys) * p sharer identities
+	p       int               // sharer pointers per entry
 	mask    uint64
 	shift   uint
 	live    int
@@ -90,6 +94,7 @@ func newDirTable(p int) *dirTable {
 func (d *dirTable) alloc(capacity int) {
 	d.keys = make([]uint64, capacity)
 	d.entries = make([]dirEntry, capacity)
+	d.occ = flatmap.NewOccupancy(capacity)
 	d.arena = make([]int16, capacity*d.p)
 	d.mask = uint64(capacity - 1)
 	d.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
@@ -161,6 +166,7 @@ func (d *dirTable) insert(la mem.Addr) *dirEntry {
 		d.dead--
 	}
 	d.keys[target] = key
+	d.occ.Mark(uint64(target))
 	d.entries[target] = dirEntry{sharers: coherence.NewSharerSetBacked(d.p, d.backing(uint64(target)))}
 	d.live++
 	return &d.entries[target]
@@ -197,6 +203,7 @@ func (d *dirTable) grow() {
 			i = (i + 1) & d.mask
 		}
 		d.keys[i] = key
+		d.occ.Mark(i)
 		d.entries[i] = oldEntries[oi]
 		d.entries[i].sharers.Rebind(d.backing(i))
 		d.live++
@@ -204,15 +211,17 @@ func (d *dirTable) grow() {
 }
 
 // clearAll empties the table, keeping its grown capacity. Only the key
-// array is wiped: entry records behind freed slots are unreachable (probe,
-// forEach and insert all gate on keys) and re-initialized on insertion,
-// and the sharer-identity arena needs no wiping either — every insert
-// rebinds the slot's segment as a zero-length set.
+// array's flagged blocks are wiped (tombstones sit in flagged blocks too):
+// entry records behind freed slots are unreachable (probe, forEach and
+// insert all gate on keys) and re-initialized on insertion, and the
+// sharer-identity arena needs no wiping either — every insert rebinds the
+// slot's segment as a zero-length set.
 func (d *dirTable) clearAll() {
 	if d.live == 0 && d.dead == 0 {
 		return
 	}
-	clear(d.keys)
+	d.occ.ForEach(func(lo, hi int) { clear(d.keys[lo:hi]) })
+	d.occ.Reset()
 	d.live, d.dead = 0, 0
 }
 
@@ -233,12 +242,16 @@ func (d *dirTable) reshape(p int) {
 	}
 }
 
+// forEach visits every live entry in ascending slot order, skipping
+// blocks the occupancy bitmap proves empty.
 func (d *dirTable) forEach(fn func(la mem.Addr, e *dirEntry)) {
-	for i, key := range d.keys {
-		if key != dirKeyEmpty && key != dirKeyDead {
-			fn(mem.Addr((key-1)<<mem.LineShift), &d.entries[i])
+	d.occ.ForEach(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if key := d.keys[i]; key != dirKeyEmpty && key != dirKeyDead {
+				fn(mem.Addr((key-1)<<mem.LineShift), &d.entries[i])
+			}
 		}
-	}
+	})
 }
 
 // tileDir is the per-tile directory handle: the flat table in the fast

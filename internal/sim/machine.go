@@ -17,7 +17,8 @@ package sim
 // internals.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lacc/internal/coherence"
 	"lacc/internal/core"
@@ -274,7 +275,7 @@ func (m *Machine) Snapshot(lines []mem.Addr) []LineSnapshot {
 				for j, id := range ids {
 					d.Sharers[j] = int(id)
 				}
-				sort.Ints(d.Sharers)
+				slices.Sort(d.Sharers)
 				d.Unknown = e.sharers.Count() - len(ids)
 				if e.cls != nil {
 					e.cls.ForEachTracked(func(id int, st *core.CoreState) {
@@ -296,9 +297,10 @@ func (m *Machine) Snapshot(lines []mem.Addr) []LineSnapshot {
 				})
 			}
 		}
-		sort.Slice(ls.Copies, func(x, y int) bool {
-			cx, cy := ls.Copies[x], ls.Copies[y]
-			return cx.Core < cy.Core || (cx.Core == cy.Core && cx.State < cy.State)
+		// (core, state) is unique per line, so any correct sort yields
+		// the same order.
+		slices.SortFunc(ls.Copies, func(x, y CopySnapshot) int {
+			return cmp.Or(cmp.Compare(x.Core, y.Core), cmp.Compare(x.State, y.State))
 		})
 		out[i] = ls
 	}
