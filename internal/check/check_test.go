@@ -45,21 +45,28 @@ func TestHealthyProtocolsBounded(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			rep, err := Run(shallow(v.kind, v.ackwise))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Violation != nil {
-				t.Fatalf("unexpected %s violation: %s\npath: %v",
-					rep.Violation.Kind, rep.Violation.Detail, rep.Violation.Path)
-			}
-			if rep.States != v.states || rep.Transitions != v.transitions ||
-				rep.Depth != v.depth || rep.Truncated != v.truncated {
-				t.Fatalf("%s: %d states, %d transitions, depth %d, truncated=%v; want %d, %d, %d, %v",
-					rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated,
-					v.states, v.transitions, v.depth, v.truncated)
-			}
+			requireStateSpace(t, shallow(v.kind, v.ackwise), v.states, v.transitions, v.depth, v.truncated)
 		})
+	}
+}
+
+// requireStateSpace runs opts and asserts it finds no violation and
+// explores exactly the given state space.
+func requireStateSpace(t *testing.T, opts Options, states, transitions, depth int, truncated bool) {
+	t.Helper()
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("unexpected %s violation: %s\npath: %v",
+			rep.Violation.Kind, rep.Violation.Detail, rep.Violation.Path)
+	}
+	if rep.States != states || rep.Transitions != transitions ||
+		rep.Depth != depth || rep.Truncated != truncated {
+		t.Fatalf("%s: %d states, %d transitions, depth %d, truncated=%v; want %d, %d, %d, %v",
+			rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated,
+			states, transitions, depth, truncated)
 	}
 }
 
@@ -69,28 +76,15 @@ func TestHealthyProtocolsBounded(t *testing.T) {
 // above misses whatever a protocol does only deeper than depth 5.
 func TestCheckGateDepth12(t *testing.T) {
 	variants := []struct {
-		kind                       sim.ProtocolKind
-		states, transitions, depth int
+		kind                sim.ProtocolKind
+		states, transitions int
 	}{
-		{sim.ProtocolAdaptive, 25268, 141968, 12},
-		{sim.ProtocolMESI, 10363, 62056, 12},
+		{sim.ProtocolAdaptive, 25268, 141968},
+		{sim.ProtocolMESI, 10363, 62056},
 	}
 	for _, v := range variants {
 		t.Run(string(v.kind), func(t *testing.T) {
-			rep, err := Run(Options{Config: Bound(v.kind, 2, 0)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Violation != nil {
-				t.Fatalf("unexpected %s violation: %s\npath: %v",
-					rep.Violation.Kind, rep.Violation.Detail, rep.Violation.Path)
-			}
-			if rep.States != v.states || rep.Transitions != v.transitions ||
-				rep.Depth != v.depth || !rep.Truncated {
-				t.Fatalf("%s: %d states, %d transitions, depth %d, truncated=%v; want %d, %d, %d, true",
-					rep.Protocol, rep.States, rep.Transitions, rep.Depth, rep.Truncated,
-					v.states, v.transitions, v.depth)
-			}
+			requireStateSpace(t, Options{Config: Bound(v.kind, 2, 0)}, v.states, v.transitions, 12, true)
 		})
 	}
 }
