@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 // benchmark digests never reach — victim replication, timestamp-gated
 // promotion, L2 back-invalidation of lines that sharers still hold (home
 // slices far smaller than the L1s they include), Dragon's and hybrid's
-// sole-sharer promotion, and Neat's synchronization-point
-// self-invalidation — so a change in event order, counters or timing on
+// sole-sharer promotion, Neat's synchronization-point self-invalidation,
+// and clocks past 2^48 cycles, beyond what a run-queue key packed without
+// a base could hold — so a change in event order, counters or timing on
 // those paths shows up here. The table is a record, not a tunable: a
 // digest changes only with a deliberate, result-changing model fix.
 func TestResultPins(t *testing.T) {
@@ -106,6 +108,8 @@ func TestResultPins(t *testing.T) {
 		{"neat/lock-heavy", mesh16(ProtocolNeat, nil), program(buildLockHeavyProgram, 5), "84967a2f202229bb2522bb3e03d80e73e9f62fdcd4b6470de0e13bd22ec9b136"},
 		{"neat/barrier-heavy", mesh16(ProtocolNeat, smallL2), program(buildBarrierHeavyProgram, 6), "24b9e36c7a9fc2ae006b79bb50505d92c5cf6ef1f26d088ee00b4787c39a48e1"},
 		{"neat/barnes", mesh16(ProtocolNeat, nil), workload("barnes"), "a7b9bf1a24ff7bc98f6d6368d564a512f0da3c4f0bb4fe07936d773c7202a768"},
+
+		{"adaptive/far-clocks-tiny", tiny(ProtocolAdaptive, nil), program(buildFarClockProgram, 7), "96b379b11c69056cc6eb4fd46ff120def14c648830445ebac6acb98536f42aae"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,4 +131,52 @@ func TestResultPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildFarClockProgram emits about 70k data accesses per core with compute
+// gaps just below math.MaxUint32, so every core's clock passes 2^48 cycles
+// partway through the run, plus critical sections and barriers so that
+// lock grants and barrier releases also re-queue cores at clocks that
+// large. The run queue packs clocks relative to a base; this program makes
+// that base move.
+func buildFarClockProgram(rng *rand.Rand, cores int) [][]mem.Access {
+	const (
+		rounds      = 7
+		opsPerRound = 10000
+	)
+	dataBase := mem.Addr(1) << 22
+	progs := make([][]mem.Access, cores)
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < cores; c++ {
+			for i := 0; i < opsPerRound; i++ {
+				kind := mem.Read
+				if rng.Intn(4) == 0 {
+					kind = mem.Write
+				}
+				// Mostly the core's own 512 B (L1-resident) region, sometimes
+				// a shared one, so misses and coherence traffic stay rare
+				// and the run is dominated by the engine's queue.
+				page := c + 1
+				if rng.Intn(16) == 0 {
+					page = 0
+				}
+				a := mem.Access{
+					Kind: kind,
+					Addr: dataBase + mem.Addr(page)*mem.PageBytes + mem.Addr(rng.Intn(64))*mem.WordBytes,
+					Gap:  math.MaxUint32 - uint32(rng.Intn(1<<10)),
+				}
+				if rng.Intn(50) == 0 {
+					id := mem.Addr(1 + rng.Intn(2))
+					progs[c] = append(progs[c],
+						mem.Access{Kind: mem.Lock, Addr: id},
+						a,
+						mem.Access{Kind: mem.Unlock, Addr: id})
+					continue
+				}
+				progs[c] = append(progs[c], a)
+			}
+			progs[c] = append(progs[c], mem.Access{Kind: mem.Barrier, Addr: mem.Addr(6000 + r)})
+		}
+	}
+	return progs
 }
