@@ -74,11 +74,13 @@ func (k AccessKind) IsData() bool { return k == Read || k == Write }
 
 // Access is one trace operation issued by a core. Gap is the number of
 // compute cycles the core spends before issuing the operation; it models the
-// in-order single-issue pipeline of Table 1.
+// in-order single-issue pipeline of Table 1. The fields are ordered widest
+// first so that an Access is 16 bytes, not 24: traces and corpora hold
+// millions of them (TestAccessSize).
 type Access struct {
-	Kind AccessKind
 	Addr Addr
 	Gap  uint32
+	Kind AccessKind
 }
 
 // Cycle is a simulated clock value at 1 GHz (1 cycle == 1 ns).

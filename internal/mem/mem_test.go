@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLineOf(t *testing.T) {
@@ -102,5 +103,16 @@ func TestLineWithinPage(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// An Access must stay 16 bytes. Every replayed access is copied out of a
+// chunk, and trace corpora and per-core buffers hold millions of them, so
+// padding is paid per access and per byte of corpus. Declaring Kind first
+// pads the struct to 24 bytes; the trace corpus sizes its arena blocks on
+// 16.
+func TestAccessSize(t *testing.T) {
+	if got := unsafe.Sizeof(Access{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Access{}) = %d, want 16", got)
 	}
 }

@@ -12,11 +12,13 @@ package sim
 // unchanged:
 //
 //   - Horizon batching. The outer loop snapshots the run queue's second
-//     smallest key (coreQueue.horizon). While the root core's re-keyed
-//     (time, id) stays strictly below that horizon it is still the global
-//     minimum — nothing else touches the queue during data accesses, so
-//     the other keys are frozen — and the pop/push formulation would pick
-//     it again. The inner loop therefore retires an entire run of the root
+//     smallest key (coreQueue.horizon), decoded once per batch from its
+//     packed form to (time, id), so the per-access compare never depends
+//     on the packing. While the root core's re-keyed (time, id) stays
+//     strictly below that horizon it is still the global minimum —
+//     nothing else touches the queue during data accesses, so the other
+//     keys are frozen — and the pop/push formulation would pick it
+//     again. The inner loop therefore retires an entire run of the root
 //     core's accesses with zero heap operations, re-keying once when the
 //     core crosses the horizon. Synchronization operations (barrier, lock,
 //     unlock) and stream exhaustion reshape the heap, so they end the
@@ -63,7 +65,9 @@ func (s *Simulator) runGeneric() error {
 		c := &s.cores[id]
 		a, ok := c.next()
 		if !ok {
-			s.retireTop(c)
+			if err := s.retireTop(c); err != nil {
+				return err
+			}
 			continue
 		}
 		if a.Gap > 0 {
@@ -74,7 +78,9 @@ func (s *Simulator) runGeneric() error {
 		case mem.Read, mem.Write:
 			s.instrFetch(c, a.Gap)
 			s.proto.DataAccess(c, a.Kind, a.Addr)
-			s.runQ.replaceTop(c.now, int32(id))
+			if err := s.runQ.replaceTop(c.now, id); err != nil {
+				return err
+			}
 		default:
 			if err := s.syncOp(c, a); err != nil {
 				return err
@@ -86,10 +92,10 @@ func (s *Simulator) runGeneric() error {
 
 // retireTop marks the heap-root core's stream exhausted and removes it,
 // releasing a barrier its exit may complete.
-func (s *Simulator) retireTop(c *coreState) {
+func (s *Simulator) retireTop(c *coreState) error {
 	c.done = true
 	s.runQ.popTop()
-	s.maybeReleaseBarrier()
+	return s.maybeReleaseBarrier()
 }
 
 // syncSelfInvalidator is implemented by protocols that react to a core
@@ -113,26 +119,27 @@ func (s *Simulator) syncOp(c *coreState, a mem.Access) error {
 	switch a.Kind {
 	case mem.Barrier:
 		s.runQ.popTop()
-		s.barrierArrive(c, a.Addr)
+		return s.barrierArrive(c, a.Addr)
 	case mem.Lock:
 		s.runQ.popTop() // lockAcquire re-queues the core when granted
-		s.lockAcquire(c, uint64(a.Addr))
+		return s.lockAcquire(c, uint64(a.Addr))
 	case mem.Unlock:
-		s.lockRelease(c, uint64(a.Addr))
-		s.runQ.replaceTop(c.now, int32(c.id))
+		if err := s.lockRelease(c, uint64(a.Addr)); err != nil {
+			return err
+		}
+		return s.runQ.replaceTop(c.now, int32(c.id))
 	default:
 		return fmt.Errorf("sim: core %d emitted unknown op %v", c.id, a.Kind)
 	}
-	return nil
 }
 
 // runBatched is the horizon-batched engine. See the comment at the top of
 // this file for the invariants.
 func (s *Simulator) runBatched(p protocolCore) error {
 	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+		id := s.runQ.top()
 		c := &s.cores[id]
-		hz := s.runQ.horizon()
+		hzNow, hzID := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
 		for {
 			var a mem.Access
@@ -142,7 +149,9 @@ func (s *Simulator) runBatched(p protocolCore) error {
 			} else {
 				var ok bool
 				if a, ok = c.refill(); !ok {
-					s.retireTop(c)
+					if err := s.retireTop(c); err != nil {
+						return err
+					}
 					break
 				}
 			}
@@ -185,10 +194,12 @@ func (s *Simulator) runBatched(p protocolCore) error {
 			} else {
 				p.dirMiss(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if c.now < hzNow || (c.now == hzNow && id < hzID) {
 				continue
 			}
-			s.runQ.replaceTop(c.now, id)
+			if err := s.runQ.replaceTop(c.now, id); err != nil {
+				return err
+			}
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"lacc/internal/cache"
@@ -404,13 +405,11 @@ func (s *Simulator) Run(streams []trace.Stream) (*Result, error) {
 			s.cores[i].chunks = cs
 		}
 	}
-	if cap(s.runQ.q) >= s.cfg.Cores {
-		s.runQ.q = s.runQ.q[:0]
-	} else {
-		s.runQ.q = make([]queuedCore, 0, s.cfg.Cores)
-	}
+	s.runQ.reset(s.cfg.Cores)
 	for i := range s.cores {
-		s.runQ.push(s.cores[i].now, int32(i))
+		if err := s.runQ.push(s.cores[i].now, int32(i)); err != nil {
+			return nil, err
+		}
 	}
 
 	if err := s.runEngine(); err != nil {
@@ -471,7 +470,7 @@ func (s *Simulator) checkQuiescence() error {
 
 // barrierArrive parks a core at a barrier, releasing everyone when the last
 // active core arrives. All cores must agree on the barrier identifier.
-func (s *Simulator) barrierArrive(c *coreState, id mem.Addr) {
+func (s *Simulator) barrierArrive(c *coreState, id mem.Addr) error {
 	if s.barrierN == 0 {
 		s.barrierID = id
 	} else if s.barrierID != id {
@@ -481,7 +480,7 @@ func (s *Simulator) barrierArrive(c *coreState, id mem.Addr) {
 	c.waitingBarrier = true
 	c.barrierArrive = c.now
 	s.barrierN++
-	s.maybeReleaseBarrier()
+	return s.maybeReleaseBarrier()
 }
 
 func (s *Simulator) activeCores() int {
@@ -494,9 +493,9 @@ func (s *Simulator) activeCores() int {
 	return n
 }
 
-func (s *Simulator) maybeReleaseBarrier() {
+func (s *Simulator) maybeReleaseBarrier() error {
 	if s.barrierN == 0 || s.barrierN < s.activeCores() {
-		return
+		return nil
 	}
 	var latest mem.Cycle
 	for i := range s.cores {
@@ -513,14 +512,17 @@ func (s *Simulator) maybeReleaseBarrier() {
 		c.bd.Sync += float64(release - c.barrierArrive)
 		c.now = release
 		c.waitingBarrier = false
-		s.runQ.push(c.now, int32(i))
+		if err := s.runQ.push(c.now, int32(i)); err != nil {
+			return err
+		}
 	}
 	s.barrierN = 0
+	return nil
 }
 
 // lockAcquire grants a free lock immediately (charging the acquisition
 // round trip) or parks the core in the lock's FIFO queue.
-func (s *Simulator) lockAcquire(c *coreState, id uint64) {
+func (s *Simulator) lockAcquire(c *coreState, id uint64) error {
 	l := s.locks[id]
 	if l == nil {
 		l = &lockState{}
@@ -532,14 +534,14 @@ func (s *Simulator) lockAcquire(c *coreState, id uint64) {
 		lat := mem.Cycle(s.cfg.LockLatency)
 		c.bd.Sync += float64(lat)
 		c.now += lat
-		s.runQ.push(c.now, int32(c.id))
-		return
+		return s.runQ.push(c.now, int32(c.id))
 	}
 	l.queue = append(l.queue, lockWaiter{core: c.id, arrival: c.now})
+	return nil
 }
 
 // lockRelease hands the lock to the next waiter (FIFO) or frees it.
-func (s *Simulator) lockRelease(c *coreState, id uint64) {
+func (s *Simulator) lockRelease(c *coreState, id uint64) error {
 	l := s.locks[id]
 	if l == nil || !l.held || l.owner != c.id {
 		panic(fmt.Sprintf("sim: core %d released lock %d it does not hold", c.id, id))
@@ -547,7 +549,7 @@ func (s *Simulator) lockRelease(c *coreState, id uint64) {
 	c.now++ // the releasing store
 	if len(l.queue) == 0 {
 		l.held = false
-		return
+		return nil
 	}
 	w := l.queue[0]
 	l.queue = l.queue[1:]
@@ -560,7 +562,7 @@ func (s *Simulator) lockRelease(c *coreState, id uint64) {
 	wc := &s.cores[w.core]
 	wc.bd.Sync += float64(grant - w.arrival)
 	wc.now = grant
-	s.runQ.push(wc.now, int32(w.core))
+	return s.runQ.push(wc.now, int32(w.core))
 }
 
 // collect aggregates per-core statistics into a Result.
@@ -683,99 +685,170 @@ func (s *Simulator) returnIDs(buf []int16) {
 	s.idScratch = append(s.idScratch, buf)
 }
 
-// queuedCore is one run-queue entry: a core and the local time at which it
-// became runnable. A core's clock is final when pushed, so the key is a
-// snapshot, and keys are unique (a core is queued at most once; id breaks
-// time ties), making pop order fully deterministic.
-type queuedCore struct {
-	now mem.Cycle
-	id  int32
-}
-
 // coreQueue is a binary min-heap of runnable cores ordered by (local time,
-// core id). It replaces container/heap: the interface-based comparator and
-// its pointer chase into the core array was the hottest single symbol of
-// the simulation loop.
+// core id). Each entry packs its key into one uint64, (now-base)<<16 | id,
+// so every comparison is a single unsigned compare; 16 bits hold MaxCores.
+// A core's clock is final when pushed, so the key is a snapshot, and keys
+// are unique (a core is queued at most once; id breaks time ties), making
+// pop order fully deterministic and the same as ordering by (now, id).
+//
+// base keeps the packed clocks small: a clock that would not fit in the 48
+// bits above it makes the queue rebase (see rebase), and a spread of queued
+// clocks that itself does not fit is an error, never a wrapped key.
+//
+// The backing array always holds a queueSentinel just past the last entry
+// (q[:len(q)+1]), so in siftDown every parent has two children and the
+// smaller one is picked without a branch.
 type coreQueue struct {
-	q []queuedCore
+	q    []uint64
+	base mem.Cycle
 }
 
-func (k queuedCore) less(o queuedCore) bool {
-	return k.now < o.now || (k.now == o.now && k.id < o.id)
+const (
+	queueIDBits = 16
+	queueIDMask = 1<<queueIDBits - 1
+	// queueMaxSpan is the largest clock offset above base a key can hold.
+	queueMaxSpan = mem.Cycle(1)<<(64-queueIDBits) - 1
+	// queueSentinel is the +inf key. It decodes to id 0xFFFF, above
+	// MaxCores, so no entry ever equals it.
+	queueSentinel = ^uint64(0)
+)
+
+// errQueueSpan reports runnable cores whose clocks lie further apart than
+// a packed run-queue key can represent.
+var errQueueSpan = errors.New("sim: runnable core clocks span 2^48 cycles or more")
+
+// reset empties the queue for a run of the given number of cores.
+func (q *coreQueue) reset(cores int) {
+	if cap(q.q) <= cores {
+		q.q = make([]uint64, 0, cores+1)
+	}
+	q.q = append(q.q[:0], queueSentinel)[:0]
+	q.base = 0
 }
 
-func (q *coreQueue) push(now mem.Cycle, id int32) {
-	q.q = append(q.q, queuedCore{now: now, id: id})
-	i := len(q.q) - 1
+// rebase moves base to the smallest clock among the queued keys and now,
+// shifting every key by the same amount: O(len) and exact, because a
+// uniform shift of the time field keeps every comparison, and so the heap,
+// as it was. The engine only ever runs the minimum core and re-queues
+// cores at or after its clock, so in practice base only moves forward.
+func (q *coreQueue) rebase(now mem.Cycle) error {
+	lo, hi := now, now
+	for _, k := range q.q {
+		c := q.base + mem.Cycle(k>>queueIDBits)
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if hi-lo > queueMaxSpan {
+		return errQueueSpan
+	}
+	for i, k := range q.q {
+		c := q.base + mem.Cycle(k>>queueIDBits)
+		q.q[i] = uint64(c-lo)<<queueIDBits | k&queueIDMask
+	}
+	q.base = lo
+	return nil
+}
+
+// push queues core id at clock now, moving a hole up from the new leaf.
+func (q *coreQueue) push(now mem.Cycle, id int32) error {
+	if now-q.base > queueMaxSpan { // also catches now < base, which wraps
+		if err := q.rebase(now); err != nil {
+			return err
+		}
+	}
+	k := uint64(now-q.base)<<queueIDBits | uint64(id)
+	n := len(q.q)
+	q.q = append(q.q, 0, queueSentinel)[:n+1]
+	h := q.q
+	i := n
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.q[i].less(q.q[parent]) {
+		p := (i - 1) / 2
+		if h[p] < k {
 			break
 		}
-		q.q[i], q.q[parent] = q.q[parent], q.q[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = k
+	return nil
 }
 
 // top returns the earliest core without removing it.
-func (q *coreQueue) top() int { return int(q.q[0].id) }
-
-// horizonSentinel is the +inf heap key: no core's (time, id) key ever
-// reaches it (clocks stay far below 2^64-1), so a root core compared
-// against it always stays below the horizon.
-var horizonSentinel = queuedCore{now: ^mem.Cycle(0), id: 1<<31 - 1}
+func (q *coreQueue) top() int32 { return int32(q.q[0] & queueIDMask) }
 
 // horizon returns the smallest key among the non-root entries — the root
-// core's safe horizon. The heap invariant puts the second-smallest key at
-// one of the root's children, so this is two comparisons, not a scan.
+// core's safe horizon — decoded to (time, id), or an unreachable +inf key
+// when the root is alone. The heap invariant puts the second-smallest key
+// at one of the root's children, so this is two comparisons, not a scan.
 // While the root core's advancing (time, id) key stays strictly below the
 // horizon it remains the global minimum, and the engine may retire its
 // accesses with zero heap operations (see engine.go); keys are unique, so
 // strictly-below is exactly the condition under which the pop/push
 // formulation would pick the same core again.
-func (q *coreQueue) horizon() queuedCore {
-	h := horizonSentinel
-	if len(q.q) > 1 && q.q[1].less(h) {
-		h = q.q[1]
+func (q *coreQueue) horizon() (mem.Cycle, int32) {
+	k := queueSentinel
+	if len(q.q) > 1 {
+		k = q.q[1]
 	}
-	if len(q.q) > 2 && q.q[2].less(h) {
-		h = q.q[2]
+	if len(q.q) > 2 && q.q[2] < k {
+		k = q.q[2]
 	}
-	return h
+	if k == queueSentinel {
+		return ^mem.Cycle(0), 1<<31 - 1
+	}
+	return q.base + mem.Cycle(k>>queueIDBits), int32(k & queueIDMask)
 }
 
-// replaceTop re-keys the root core at its advanced clock.
-func (q *coreQueue) replaceTop(now mem.Cycle, id int32) {
-	q.q[0] = queuedCore{now: now, id: id}
-	q.siftDown()
+// replaceTop re-keys the root core at its advanced clock. When the clock
+// does not fit above base, it pops and re-pushes instead, so the rebase
+// sees the other entries' minimum rather than the root's stale clock.
+func (q *coreQueue) replaceTop(now mem.Cycle, id int32) error {
+	d := now - q.base
+	if d > queueMaxSpan {
+		q.popTop()
+		return q.push(now, id)
+	}
+	q.siftDown(uint64(d)<<queueIDBits | uint64(id))
+	return nil
 }
 
 // popTop removes the root core.
 func (q *coreQueue) popTop() {
 	last := len(q.q) - 1
-	q.q[0] = q.q[last]
+	k := q.q[last]
+	q.q[last] = queueSentinel
 	q.q = q.q[:last]
 	if last > 0 {
-		q.siftDown()
+		q.siftDown(k)
 	}
 }
 
-func (q *coreQueue) siftDown() {
-	n := len(q.q)
-	i := 0
+// siftDown places key k at the root: it moves a hole down past every
+// smaller child, then drops k into it. The sentinel past the last entry
+// stands in for a missing right child, and the smaller child is chosen
+// with a flag and a conditional move: which child wins is unpredictable,
+// so a branch there mispredicts about half the time.
+func (q *coreQueue) siftDown(k uint64) {
+	n := uint(len(q.q))
+	h := q.q[:n+1]
+	i := uint(0)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.q[l].less(q.q[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && q.q[r].less(q.q[smallest]) {
-			smallest = r
+		m, mr := h[c], h[c+1]
+		var right uint
+		if mr < m {
+			right = 1
 		}
-		if smallest == i {
-			return
+		c += right
+		m = min(m, mr)
+		if k < m {
+			break
 		}
-		q.q[i], q.q[smallest] = q.q[smallest], q.q[i]
-		i = smallest
+		h[i] = m
+		i = c
 	}
+	h[i] = k
 }

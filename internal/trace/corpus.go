@@ -21,7 +21,7 @@ import (
 // replay: views carry their own cursors and never write the arena.
 
 // corpusBlockSize is the arena block granularity in accesses (16 B each,
-// so 1 MiB blocks): big enough that per-core sequences span few segments,
+// pinned by mem's TestAccessSize, so 1 MiB blocks): big enough that per-core sequences span few segments,
 // small enough that a tiny workload doesn't hold a huge block.
 const corpusBlockSize = 1 << 16
 

@@ -49,8 +49,8 @@ type Stream interface {
 // batch of accesses in delivery order, non-empty while ok. The returned
 // slice shares the stream's backing storage and is valid until the
 // following NextChunk or Next call. The simulator consumes chunks when
-// available, replacing one dynamic dispatch (and 16-byte return copy) per
-// access with a slice index.
+// available, replacing one dynamic dispatch and one 16-byte mem.Access
+// return copy per access with a slice index.
 type ChunkStream interface {
 	Stream
 	NextChunk() ([]mem.Access, bool)
