@@ -74,9 +74,8 @@ func (k AccessKind) IsData() bool { return k == Read || k == Write }
 
 // Access is one trace operation issued by a core. Gap is the number of
 // compute cycles the core spends before issuing the operation; it models the
-// in-order single-issue pipeline of Table 1. The fields are ordered widest
-// first so that an Access is 16 bytes, not 24: traces and corpora hold
-// millions of them (TestAccessSize).
+// in-order single-issue pipeline of Table 1. Fields are ordered widest
+// first so an Access is 16 bytes, not 24 (see TestAccessSize).
 type Access struct {
 	Addr Addr
 	Gap  uint32

@@ -718,9 +718,10 @@ const (
 // a packed run-queue key can represent.
 var errQueueSpan = errors.New("sim: runnable core clocks span 2^48 cycles or more")
 
-// reset empties the queue for a run of the given number of cores.
+// reset empties the queue for a run of the given number of cores, with
+// room for all of them plus the sentinel.
 func (q *coreQueue) reset(cores int) {
-	if cap(q.q) <= cores {
+	if cap(q.q) < cores+1 {
 		q.q = make([]uint64, 0, cores+1)
 	}
 	q.q = append(q.q[:0], queueSentinel)[:0]

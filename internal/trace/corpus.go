@@ -21,8 +21,9 @@ import (
 // replay: views carry their own cursors and never write the arena.
 
 // corpusBlockSize is the arena block granularity in accesses (16 B each,
-// pinned by mem's TestAccessSize, so 1 MiB blocks): big enough that per-core sequences span few segments,
-// small enough that a tiny workload doesn't hold a huge block.
+// pinned by mem's TestAccessSize, so 1 MiB blocks): big enough that
+// per-core sequences span few segments, small enough that a tiny workload
+// doesn't hold a huge block.
 const corpusBlockSize = 1 << 16
 
 // Source is a replayable trace: anything that can hand out one fresh
