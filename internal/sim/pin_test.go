@@ -20,7 +20,8 @@ import (
 // promotion, L2 back-invalidation of lines that sharers still hold (home
 // slices far smaller than the L1s they include), Dragon's and hybrid's
 // sole-sharer promotion, Neat's synchronization-point self-invalidation,
-// and clocks past 2^48 cycles, beyond what a run-queue key packed without
+// the float instruction-fetch path (a FetchPerOp off the 1/8 grid), and
+// clocks past 2^48 cycles, beyond what a run-queue key packed without
 // a base could hold — so a change in event order, counters or timing on
 // those paths shows up here. The table is a record, not a tunable: a
 // digest changes only with a deliberate, result-changing model fix.
@@ -108,6 +109,10 @@ func TestResultPins(t *testing.T) {
 		{"neat/lock-heavy", mesh16(ProtocolNeat, nil), program(buildLockHeavyProgram, 5), "84967a2f202229bb2522bb3e03d80e73e9f62fdcd4b6470de0e13bd22ec9b136"},
 		{"neat/barrier-heavy", mesh16(ProtocolNeat, smallL2), program(buildBarrierHeavyProgram, 6), "24b9e36c7a9fc2ae006b79bb50505d92c5cf6ef1f26d088ee00b4787c39a48e1"},
 		{"neat/barnes", mesh16(ProtocolNeat, nil), workload("barnes"), "a7b9bf1a24ff7bc98f6d6368d564a512f0da3c4f0bb4fe07936d773c7202a768"},
+
+		{"adaptive/fetch-float-tiny", tiny(ProtocolAdaptive, func(c *Config) {
+			c.FetchPerOp = 1.3
+		}), random, "e9d16672f8aa6074796c6873ffd4d102b102b5b147a55d50bbdd7929899ca31b"},
 
 		{"adaptive/far-clocks-tiny", tiny(ProtocolAdaptive, nil), program(buildFarClockProgram, 7), "96b379b11c69056cc6eb4fd46ff120def14c648830445ebac6acb98536f42aae"},
 	}
