@@ -35,7 +35,7 @@ func init() {
 	})
 }
 
-// dirMiss implements protocolCore: victim replication's prelude in front
+// dirMiss implements Protocol: victim replication's prelude in front
 // of the shared miss scaffold. A read miss with a local replica never
 // leaves the tile; a write miss drops the local replica and carries the
 // sharership release to the home inside the request.
@@ -51,7 +51,7 @@ func (s *adaptiveProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.A
 	s.dirProtocol.dirMiss(c, kind, addr, upgrade)
 }
 
-// resolve implements protocolCore: per the locality classification, the
+// resolve implements Protocol: per the locality classification, the
 // requester either gets a private copy or performs a remote word access.
 func (s *adaptiveProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
@@ -160,7 +160,7 @@ func (s *adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *d
 	s.invalidations++
 }
 
-// dropped implements protocolCore: every copy leaving its L1 applies the
+// dropped implements Protocol: every copy leaving its L1 applies the
 // PCT classification (Section 3.2) and counts demotions. Evictions —
 // including L2 back-invalidations — classify as evictions; write
 // invalidations and page migrations as invalidations.

@@ -26,7 +26,7 @@ import (
 // adaptive.
 type dirProtocol struct {
 	*Simulator
-	pol  protocolCore
+	pol  Protocol
 	kind ProtocolKind
 	// wordRequests: a write request carries the written word (header +
 	// word, 2 flits). Otherwise requests are address-only: the written
@@ -57,12 +57,7 @@ func (d *dirProtocol) Name() string { return string(d.kind) }
 // are already collected; protocols with private counters override it.
 func (d *dirProtocol) Finalize(r *Result) {}
 
-// DataAccess implements Protocol through the protocol-neutral hit path.
-func (d *dirProtocol) DataAccess(c *coreState, kind mem.AccessKind, addr mem.Addr) {
-	d.dataAccess(d.pol, c, kind, addr)
-}
-
-// dropped implements protocolCore for the classifier-free protocols: the
+// dropped implements Protocol for the classifier-free protocols: the
 // directory charges one update per released copy, except on L2
 // back-invalidation, where the entry is discarded anyway.
 func (d *dirProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {

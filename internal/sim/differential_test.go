@@ -182,14 +182,28 @@ func TestDifferentialFastVsReference(t *testing.T) {
 		{"neat", func(c *Config) { c.ProtocolKind = ProtocolNeat }},
 		{"hybrid", func(c *Config) { c.ProtocolKind = ProtocolHybrid }},
 	}
+	// Three seeds of the mixed program, plus the synchronization-dominated
+	// shapes, where lock grants and barrier releases reshape the run queue
+	// after almost every access.
+	programs := []struct {
+		name  string
+		build func(*rand.Rand, int) [][]mem.Access
+		seed  int64
+	}{
+		{"seed1", buildRandomProgram, 1},
+		{"seed2", buildRandomProgram, 2},
+		{"seed3", buildRandomProgram, 3},
+		{"lock-heavy", buildLockHeavyProgram, 11},
+		{"barrier-heavy", buildBarrierHeavyProgram, 11},
+	}
 	for _, v := range variants {
-		for seed := int64(1); seed <= 3; seed++ {
-			v, seed := v, seed
-			t.Run(fmt.Sprintf("%s/seed%d", v.name, seed), func(t *testing.T) {
+		for _, p := range programs {
+			v, p := v, p
+			t.Run(v.name+"/"+p.name, func(t *testing.T) {
 				t.Parallel()
 				cfg := diffConfig()
 				v.mut(&cfg)
-				prog := buildRandomProgram(rand.New(rand.NewSource(seed)), cfg.Cores)
+				prog := p.build(rand.New(rand.NewSource(p.seed)), cfg.Cores)
 
 				fastSim, fastRes := runProgram(t, cfg, false, prog)
 				refSim, refRes := runProgram(t, cfg, true, prog)
@@ -392,9 +406,8 @@ func sliceStreams(prog [][]mem.Access) []trace.Stream {
 // buildLockHeavyProgram emits a synchronization-dominated workload: short
 // critical sections on a handful of contended locks around accesses to a
 // single shared page, with barriers between rounds. Lock grants and
-// barrier releases reshape the run queue mid-run, which is exactly the
-// machinery that ends a horizon batch, so this program stresses the
-// engine's batch-boundary handling rather than its fast path.
+// barrier releases reshape the run queue mid-run, so this program
+// stresses the engine's queue handling rather than its L1 hit path.
 func buildLockHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 	const rounds = 4
 	dataBase := mem.Addr(1) << 23
@@ -422,9 +435,8 @@ func buildLockHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 }
 
 // buildBarrierHeavyProgram alternates tiny access bursts with global
-// barriers, so cores spend most of the run parking and releasing — the
-// worst case for horizon batching (batches of length zero or one, heap
-// reshaped constantly).
+// barriers, so cores spend most of the run parking and releasing, with the
+// heap reshaped constantly.
 func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 	const rounds = 40
 	dataBase := mem.Addr(1) << 24
@@ -446,24 +458,7 @@ func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 	return progs
 }
 
-// runProgramGeneric executes prog on a fast-layout simulator pinned to the
-// generic interface-dispatch loop (forceGeneric), the reference
-// formulation the batched engine must reproduce.
-func runProgramGeneric(t *testing.T, cfg Config, prog [][]mem.Access) (*Simulator, *Result) {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.forceGeneric = true
-	res, err := s.Run(sliceStreams(prog))
-	if err != nil {
-		t.Fatalf("generic engine: %v", err)
-	}
-	return s, res
-}
-
-// engineProtocols are the protocol configurations TestEngineBatchedVsGeneric
+// engineProtocols are the protocol configurations TestEngineShardedVsGeneric
 // replays; TestBuiltinProtocolsRunBatched checks they name every registered
 // kind.
 var engineProtocols = []struct {
@@ -480,63 +475,13 @@ var engineProtocols = []struct {
 	{"hybrid", func(c *Config) { c.ProtocolKind = ProtocolHybrid }},
 }
 
-// TestEngineBatchedVsGeneric is the execution-engine equivalence property:
-// for every protocol, machine geometry and workload shape, the
-// horizon-batched loop (engine.go) must reproduce the generic
-// one-op-per-heap-touch interface-dispatch loop bit for bit — every Result
-// field, both version stores and the final directory state. The generic
-// loop is the reference implementation; the batched engine's claim is that
-// retiring a run of the root core's accesses without re-keying is
-// unobservable, and this test is that claim's proof over randomized mixed,
-// lock-heavy and barrier-heavy programs.
-func TestEngineBatchedVsGeneric(t *testing.T) {
-	geometries := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"4core-2x2", func(c *Config) {}},
-		{"8core-4x2", func(c *Config) {
-			c.Cores, c.MeshWidth, c.MemControllers = 8, 4, 4
-		}},
-		{"2core-2x1", func(c *Config) {
-			c.Cores, c.MeshWidth, c.MemControllers = 2, 2, 2
-		}},
-	}
-	programs := []struct {
-		name  string
-		build func(*rand.Rand, int) [][]mem.Access
-	}{
-		{"mixed", buildRandomProgram},
-		{"lock-heavy", buildLockHeavyProgram},
-		{"barrier-heavy", buildBarrierHeavyProgram},
-	}
-	for _, p := range engineProtocols {
-		for _, g := range geometries {
-			for _, w := range programs {
-				p, g, w := p, g, w
-				t.Run(p.name+"/"+g.name+"/"+w.name, func(t *testing.T) {
-					t.Parallel()
-					cfg := diffConfig()
-					g.mut(&cfg)
-					p.mut(&cfg)
-					prog := w.build(rand.New(rand.NewSource(11)), cfg.Cores)
-
-					batchedSim, batchedRes := runProgram(t, cfg, false, prog)
-					genericSim, genericRes := runProgramGeneric(t, cfg, prog)
-					compareStates(t, "batched vs generic", batchedSim, batchedRes, genericSim, genericRes)
-				})
-			}
-		}
-	}
-}
-
 // TestEngineShardedVsGeneric pins where simulation work is spread across
 // goroutines now that one simulation is never split into shards: only
 // whole, independent simulators run side by side (the experiment layer's
 // runJobs). For every protocol, geometry and workload shape, simulators
-// replaying the same program concurrently must each reproduce the generic
-// engine bit for bit. Run with -race in CI, this is also the proof that
-// independent simulators share no mutable state.
+// replaying the same program concurrently must each reproduce a
+// reference-core run (newReference) bit for bit. Run with -race in CI, this
+// is also the proof that independent simulators share no mutable state.
 func TestEngineShardedVsGeneric(t *testing.T) {
 	geometries := []struct {
 		name string
@@ -588,13 +533,13 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 						}(i)
 					}
 					wg.Wait()
-					genericSim, genericRes := runProgramGeneric(t, cfg, prog)
+					refSim, refRes := runProgram(t, cfg, true, prog)
 					for i := range sims {
 						if errs[i] != nil {
 							t.Fatalf("concurrent simulator %d: %v", i, errs[i])
 						}
-						compareStates(t, fmt.Sprintf("concurrent simulator %d vs generic", i),
-							sims[i], results[i], genericSim, genericRes)
+						compareStates(t, fmt.Sprintf("concurrent simulator %d vs reference", i),
+							sims[i], results[i], refSim, refRes)
 					}
 				})
 			}
@@ -602,10 +547,9 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 	}
 }
 
-// TestBuiltinProtocolsRunBatched pins that every registered protocol takes
-// the batched loop: it implements protocolCore (otherwise runEngine would
-// quietly fall back to the slow generic loop), and TestEngineBatchedVsGeneric
-// replays it against the generic loop.
+// TestBuiltinProtocolsRunBatched pins that every registered protocol is
+// named in engineProtocols, so TestEngineShardedVsGeneric replays it
+// against the reference core.
 func TestBuiltinProtocolsRunBatched(t *testing.T) {
 	covered := map[ProtocolKind]bool{}
 	for _, p := range engineProtocols {
@@ -614,17 +558,8 @@ func TestBuiltinProtocolsRunBatched(t *testing.T) {
 		covered[cfg.protocolKind()] = true
 	}
 	for _, kind := range ProtocolKinds() {
-		cfg := diffConfig()
-		cfg.ProtocolKind = kind
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if _, ok := s.proto.(protocolCore); !ok {
-			t.Errorf("%s does not implement protocolCore: it would run the generic loop", kind)
-		}
 		if !covered[kind] {
-			t.Errorf("%s is missing from TestEngineBatchedVsGeneric's protocol table", kind)
+			t.Errorf("%s is missing from TestEngineShardedVsGeneric's protocol table", kind)
 		}
 	}
 }

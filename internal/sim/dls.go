@@ -34,7 +34,7 @@ func init() {
 	})
 }
 
-// resolve implements protocolCore: the word-granular access at the home L2
+// resolve implements Protocol: the word-granular access at the home L2
 // slice, which reads the word or commits the written word in place. No
 // directory entry exists and none is created.
 func (p *dlsProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,

@@ -39,7 +39,7 @@ func init() {
 // Finalize implements Protocol.
 func (p *dragonProtocol) Finalize(r *Result) { r.UpdateWrites = p.updates }
 
-// resolve implements protocolCore. Reads behave exactly like MESI; writes
+// resolve implements Protocol. Reads behave exactly like MESI; writes
 // never invalidate other copies: the update transaction commits the word
 // at the home L2 (the home copy stays current) and pushes it to every
 // other sharer's L1 copy.

@@ -76,7 +76,7 @@ type dirTable struct {
 	live    int
 	dead    int
 	// epoch counts array reallocations (grow, reshape). Probe hints held
-	// outside the table (coreState.dirHint*) carry the epoch they were
+	// outside the table (dirSlotHint) carry the epoch they were
 	// taken under and die when it moves on, so they can never index into
 	// an abandoned array.
 	epoch uint32
@@ -117,7 +117,7 @@ func (d *dirTable) probe(la mem.Addr) *dirEntry {
 }
 
 // probeIdx returns la's live slot index, or -1. Exposed (package-
-// internally) so lookupEntry can keep an epoch-guarded index hint per
+// internally) so probeHinted can keep an epoch-guarded index hint per
 // core. Tombstoned keys match nothing and keep the chain walking.
 func (d *dirTable) probeIdx(la mem.Addr) int {
 	key := mem.LineKey(la)
@@ -275,6 +275,37 @@ func (d *tileDir) probe(la mem.Addr) *dirEntry {
 		return d.ref[la]
 	}
 	return d.flat.probe(la)
+}
+
+// dirSlotHint is a core's MRU hint into a home directory's flat table: the
+// slot its previous miss transaction resolved to, with the tile and the
+// table epoch it was taken under.
+type dirSlotHint struct {
+	idx   int32
+	epoch uint32
+	tile  int32
+}
+
+// probeHinted is probe for a requester holding hint h, at directory tile
+// home. In the flat table a hint taken here under the current epoch is
+// validated against the slot's key word before any hash probe, and a probe
+// hit refreshes it. An epoch match guarantees the index was taken against
+// the current arrays, so the bounds and the key comparison are sound;
+// removal tombstones and wholesale clears rewrite the key word, so a stale
+// hint can never validate. The reference map has no slots to hint.
+func (d *tileDir) probeHinted(h *dirSlotHint, home int, la mem.Addr) *dirEntry {
+	dt := d.flat
+	if dt == nil {
+		return d.ref[la]
+	}
+	if h.tile == int32(home) && h.epoch == dt.epoch && dt.keys[h.idx] == mem.LineKey(la) {
+		return &dt.entries[h.idx]
+	}
+	if i := dt.probeIdx(la); i >= 0 {
+		*h = dirSlotHint{idx: int32(i), epoch: dt.epoch, tile: int32(home)}
+		return &dt.entries[i]
+	}
+	return nil
 }
 
 func (d *tileDir) insert(la mem.Addr) *dirEntry {

@@ -39,7 +39,7 @@ func init() {
 	})
 }
 
-// resolve implements protocolCore. Reads behave exactly like MESI; a write
+// resolve implements Protocol. Reads behave exactly like MESI; a write
 // to a shared line fans out per sharer by classification: Dragon word
 // updates to private-mode sharers, invalidations to remote-mode sharers.
 // If no update reaches anybody the transaction degenerates to MESI and the
@@ -113,7 +113,7 @@ func (p *hybridProtocol) write(c *coreState, la mem.Addr, home int, entry *dirEn
 	return p.grantLine(c, mem.Write, la, home, entry, l2line, upgrade, latest), latest - t
 }
 
-// dropped implements protocolCore: a copy leaving through a write
+// dropped implements Protocol: a copy leaving through a write
 // invalidation or the holder's eviction reclassifies the core on its
 // observed utilization. Page migration only charges the directory update,
 // and L2 back-invalidation neither (the entry is discarded) — the

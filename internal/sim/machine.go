@@ -3,9 +3,8 @@ package sim
 // Machine is the model checker's stepping adapter: it exposes the
 // simulator one data access at a time, under the checker's control,
 // instead of draining trace streams through the run-queue engine. A step
-// executes exactly the per-operation body of the generic engine loop
-// (gap advance, instruction fetch, Protocol.DataAccess), so a sequence of
-// Step calls is behaviorally identical to an engine run that selects the
+// executes exactly the engine loop's per-operation body (Simulator.step:
+// gap advance, instruction fetch, data access), so a sequence of Step calls is behaviorally identical to an engine run that selects the
 // same cores in the same order — which is what lets a checker
 // counterexample be re-encoded as a trace whose replay through Run
 // reproduces the violating interleaving (see internal/check).
@@ -80,26 +79,8 @@ func NewMachineWithFaults(cfg Config, f Faults) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{s: s}
-	m.initCores()
-	return m, nil
-}
-
-// initCores builds the per-core contexts exactly as Run does, minus the
-// trace streams: the checker feeds accesses through Step instead.
-func (m *Machine) initCores() {
-	s := m.s
-	if len(s.cores) != s.cfg.Cores {
-		s.cores = make([]coreState, s.cfg.Cores)
-		for i := range s.cores {
-			s.cores[i] = coreState{history: newHistStore(s.reference)}
-		}
-	}
-	for i := range s.cores {
-		h := s.cores[i].history
-		h.clear()
-		s.cores[i] = coreState{id: i, history: h}
-	}
+	s.initCores(nil)
+	return &Machine{s: s}, nil
 }
 
 // Reset restores the machine to its initial state (same configuration and
@@ -108,7 +89,7 @@ func (m *Machine) Reset() error {
 	if err := m.s.Reset(m.s.cfg); err != nil {
 		return err
 	}
-	m.initCores()
+	m.s.initCores(nil)
 	return nil
 }
 
@@ -124,19 +105,12 @@ func (m *Machine) Protocol() string { return m.s.proto.Name() }
 func (m *Machine) Clock(coreID int) mem.Cycle { return m.s.cores[coreID].now }
 
 // Step executes one data access on the given core as an atomic protocol
-// transaction, mirroring the generic engine's per-operation body: the gap
+// transaction, through the engine's own per-operation body: the gap
 // advances the core's clock before the access, the instruction fetch walk
-// runs, then the protocol path. Kind must be mem.Read or mem.Write —
+// runs, then the data path. Kind must be mem.Read or mem.Write —
 // synchronization operations reshape the run queue and are not steppable.
 func (m *Machine) Step(coreID int, kind mem.AccessKind, addr mem.Addr, gap uint32) {
-	s := m.s
-	c := &s.cores[coreID]
-	if gap > 0 {
-		c.now += mem.Cycle(gap)
-		c.bd.Compute += float64(gap)
-	}
-	s.instrFetch(c, gap)
-	s.proto.DataAccess(c, kind, addr)
+	m.s.step(&m.s.cores[coreID], mem.Access{Addr: addr, Gap: gap, Kind: kind})
 }
 
 // Audit runs the structural and data-value invariant checks on the

@@ -26,7 +26,7 @@ func init() {
 	})
 }
 
-// resolve implements protocolCore. A read first fetches the latest data
+// resolve implements Protocol. A read first fetches the latest data
 // from an E/M owner; a write invalidates every other private copy. Every
 // miss then ends with a private copy in the requester's L1.
 func (p *mesiProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,

@@ -10,16 +10,17 @@ import (
 	"lacc/internal/stats"
 )
 
-// Protocol is the pluggable coherence protocol as the engine and the
-// checker see it: the L1 data path, the reaction to cache displacement at
-// both levels and to R-NUCA page migration, and the protocol's private
-// counters. The simulator core provides the substrate (tiles, mesh, DRAM,
-// golden store, energy meter) and is protocol-agnostic.
+// Protocol is a coherence protocol as the engine and the checker see it:
+// the miss transaction, the reaction to cache displacement at both levels
+// and to R-NUCA page migration, and the protocol's private counters. The
+// simulator core provides the substrate (tiles, mesh, DRAM, golden store,
+// energy meter) and the protocol-neutral L1 hit path (dataAccess).
 //
 // The six built-in implementations share one directory transaction: they
 // embed dirProtocol (baseline.go), which owns the miss scaffold (dirMiss),
 // the line grant and the home-side release path, and each supplies only its
-// policy through protocolCore. Implementations register themselves with
+// policy (resolve, dropped). The unexported methods keep implementations
+// inside this package. Implementations register themselves with
 // RegisterProtocol under a ProtocolKind; Config.ProtocolKind selects one per
 // simulation:
 //
@@ -43,9 +44,6 @@ import (
 type Protocol interface {
 	// Name returns the registered kind string for reports and results.
 	Name() string
-	// DataAccess executes one data read or write for core c, advancing the
-	// core's clock and accounting latency, energy and traffic.
-	DataAccess(c *coreState, kind mem.AccessKind, addr mem.Addr)
 	// L1Evict handles a line displaced from a core's L1 at time t: the
 	// eviction notification, write-back and directory release. The core
 	// does not wait on it.
@@ -59,6 +57,23 @@ type Protocol interface {
 	PageMove(recl *nuca.Reclassification, t mem.Cycle)
 	// Finalize merges protocol-specific counters into the run result.
 	Finalize(r *Result)
+
+	// dirMiss executes a data access the L1 cannot serve: a plain miss, or
+	// (upgrade) a write to the core's own S copy. It is the shared
+	// scaffold unless a protocol puts a prelude in front of it (adaptive's
+	// victim replication).
+	dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool)
+	// resolve is the home's decision for one request, reached by dirMiss
+	// at time t once the home holds the line (entry is nil without a
+	// directory): owner fetch, invalidation or update fan-out, then a line
+	// grant or a word reply. It returns the time the reply reaches the
+	// requester, the part of the elapsed time spent on the sharers, and the
+	// requester's new history with the line (hCached or hRemote).
+	resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int, entry *dirEntry,
+		l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8)
+	// dropped is the directory's reaction when tile id's copy leaves for
+	// the given cause, util being the copy's utilization counter.
+	dropped(entry *dirEntry, id int, util uint32, why dropCause)
 }
 
 // ProtocolKind names a registered coherence protocol implementation.
@@ -109,47 +124,31 @@ func newProtocol(s *Simulator) Protocol {
 
 // Shared machinery. The hit path, the miss scaffold and the home lookup
 // below serve every protocol implementation (l2Fill also the
-// instruction-fetch path); protocol decisions are reached only through
-// protocolCore.
+// instruction-fetch path); protocol decisions are reached only through the
+// Protocol's policy methods.
 
-// protocolCore is a built-in protocol's policy: the decisions the shared
-// directory transaction (dirProtocol) leaves to it. The engine dispatches
-// misses through dirMiss, which is the shared scaffold unless a protocol
-// puts a prelude in front of it (adaptive's victim replication).
-type protocolCore interface {
-	Protocol
-	dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool)
-	// resolve is the home's decision for one request, reached by dirMiss
-	// at time t once the home holds the line (entry is nil without a
-	// directory): owner fetch, invalidation or update fan-out, then a line
-	// grant or a word reply. It returns the time the reply reaches the
-	// requester, the part of the elapsed time spent on the sharers, and the
-	// requester's new history with the line (hCached or hRemote).
-	resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int, entry *dirEntry,
-		l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8)
-	// dropped is the directory's reaction when tile id's copy leaves for
-	// the given cause, util being the copy's utilization counter.
-	dropped(entry *dirEntry, id int, util uint32, why dropCause)
-}
-
-// dataAccess executes the protocol-neutral L1 hit path — reads hit in any
-// state, writes hit on an E or M copy (E upgrades to M silently) — and
-// hands everything else to the protocol's miss path: a plain miss, or a
-// write to an S copy (an upgrade under invalidation protocols, an update
-// transaction under Dragon). The engine's batched loop (engine.go) inlines
-// this dispatch; the shared l1DataHit epilogue keeps the two paths
-// bit-identical by construction.
-func (s *Simulator) dataAccess(p protocolCore, c *coreState, kind mem.AccessKind, addr mem.Addr) {
+// dataAccess executes one data read or write for core c: the
+// protocol-neutral L1 hit path — reads hit in any state, writes hit on an E
+// or M copy (E upgrades to M silently) — or else the protocol's miss path:
+// a plain miss, or a write to an S copy (an upgrade under invalidation
+// protocols, an update transaction under Dragon).
+//
+// The tag probe is skipped when the core's MRU hint (lastL1D) still holds
+// the line: word-granular traces touch the same line back to back, and a
+// validated hint is exactly the line Probe would return.
+func (s *Simulator) dataAccess(c *coreState, kind mem.AccessKind, addr mem.Addr) {
 	la := mem.LineOf(addr)
-	if line := s.tiles[c.id].l1d.Probe(la); line != nil {
-		if kind == mem.Read || line.State != lineS {
-			s.l1DataHit(c, line, kind, la)
-			return
-		}
-		p.dirMiss(c, kind, addr, true)
+	l1 := s.tiles[c.id].l1d
+	line := c.lastL1D
+	if !l1.Holds(line, la) {
+		line = l1.Probe(la)
+	}
+	if line != nil && (kind == mem.Read || line.State != lineS) {
+		c.lastL1D = line
+		s.l1DataHit(c, line, kind, la)
 		return
 	}
-	p.dirMiss(c, kind, addr, false)
+	s.proto.dirMiss(c, kind, addr, line != nil)
 }
 
 // l1DataHit completes a data access that hits in the requester's L1:
@@ -246,10 +245,9 @@ func (d *dirProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, 
 // Both home-side lookups are accelerated by per-core MRU hints: a core
 // performing word-granular remote accesses walks the same (home, line)
 // transaction back to back, so the home L2 line (cache.Holds) and the
-// directory slot (epoch-guarded against table reallocation, see
-// dirTable.epoch) usually validate without a probe. Hints are probe results
-// only — validation failure falls back to the full probes — so behavior is
-// bit-identical with or without them.
+// directory slot (tileDir.probeHinted) usually validate without a probe.
+// Hints are probe results only — validation failure falls back to the full
+// probes — so behavior is bit-identical with or without them.
 func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cycle) (
 	entry *dirEntry, l2line *cache.Line, tOut, wait, offchip mem.Cycle) {
 
@@ -276,20 +274,8 @@ func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cyc
 		}
 		entry = ht.dir.insert(la)
 		d.initDirEntry(entry)
-	} else if dt := ht.dir.flat; dt != nil {
-		// An epoch match guarantees dirHintIdx was taken against the
-		// current arrays, so the bounds and the key comparison are sound;
-		// removal tombstones and wholesale clears rewrite the key word, so
-		// a stale hint can never validate.
-		if c.dirHintTile == int32(home) && c.dirHintEpoch == dt.epoch &&
-			dt.keys[c.dirHintIdx] == mem.LineKey(la) {
-			entry = &dt.entries[c.dirHintIdx]
-		} else if i := dt.probeIdx(la); i >= 0 {
-			entry = &dt.entries[i]
-			c.dirHintIdx, c.dirHintEpoch, c.dirHintTile = int32(i), dt.epoch, int32(home)
-		}
 	} else {
-		entry = ht.dir.probe(la)
+		entry = ht.dir.probeHinted(&c.dirHint, home, la)
 	}
 	if entry == nil {
 		panic(fmt.Sprintf("sim: data access to instruction line %#x", la))

@@ -52,8 +52,8 @@ func (r queueRef) fits(k queueRefKey) bool {
 }
 
 // FuzzCoreQueue drives the packed run queue and a sorted-slice reference
-// with the same push, replaceTop and popTop sequence, checking the root,
-// the horizon and the length after every operation and the full pop order
+// with the same push, replaceTop and popTop sequence, checking the root
+// and the length after every operation and the full pop order
 // at the end. Clocks are drawn relative to the current minimum, forwards
 // and backwards, near and past 2^48, so rebasing in both directions and
 // the span error both occur: an operation must fail exactly when the
@@ -159,13 +159,5 @@ func checkQueueAgainstRef(t *testing.T, step int, q *coreQueue, ref queueRef) {
 	}
 	if got := q.top(); got != ref[0].id {
 		t.Fatalf("op %d: top %d, want %d (reference %+v)", step, got, ref[0].id, ref)
-	}
-	hzNow, hzID := q.horizon()
-	want := queueRefKey{^mem.Cycle(0), 1<<31 - 1}
-	if len(ref) > 1 {
-		want = ref[1]
-	}
-	if hzNow != want.now || hzID != want.id {
-		t.Fatalf("op %d: horizon (%d, %d), want %+v", step, hzNow, hzID, want)
 	}
 }

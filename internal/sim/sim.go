@@ -77,22 +77,20 @@ type coreState struct {
 	bd     stats.TimeBreakdown
 	l1d    stats.MissStats
 
-	// lastL1D is the engine's MRU hint: the L1-D line the core's previous
-	// data access resolved to. Word-granular traces touch the same 64B
+	// lastL1D is the MRU hint of dataAccess: the L1-D line the core's
+	// previous L1 hit resolved to. Word-granular traces touch the same 64B
 	// line repeatedly, so validating the hint (cache.Holds) skips the tag
 	// scan on those runs. Purely an access-path shortcut — Probe has no
 	// side effects, and a stale hint fails validation and re-probes — so
 	// behavior is bit-identical with or without it.
 	lastL1D *cache.Line
 
-	// Home-side MRU hints for lookupEntry: the directory slot index
-	// (epoch-guarded, fast core only) and home L2 line the core's previous
-	// miss transaction resolved to. See lookupEntry.
-	dirHintIdx   int32
-	dirHintEpoch uint32
-	dirHintTile  int32
-	l2Hint       *cache.Line
-	l2HintTile   int32
+	// Home-side MRU hints for lookupEntry: the directory slot (fast core
+	// only) and home L2 line the core's previous miss transaction resolved
+	// to. See lookupEntry.
+	dirHint    dirSlotHint
+	l2Hint     *cache.Line
+	l2HintTile int32
 
 	l1iHits   uint64
 	l1iMisses uint64
@@ -151,13 +149,6 @@ type Simulator struct {
 	// differential tests can replay identical streams through both and
 	// compare every result bit (see differential_test.go).
 	reference bool
-
-	// forceGeneric pins the run engine to the generic interface-dispatch
-	// loop even on the fast storage layout. The differential tests use it
-	// to prove the horizon-batched loop (engine.go) executes bit-identically
-	// to the reference formulation, isolated from the storage-layout axis.
-	// The reference core always runs generic.
-	forceGeneric bool
 
 	// faults are the seeded protocol defects for checker self-tests
 	// (machine.go). Deliberately outside Config — experiment fingerprints
@@ -385,26 +376,7 @@ func (s *Simulator) Run(streams []trace.Stream) (*Result, error) {
 	if len(streams) != s.cfg.Cores {
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), s.cfg.Cores)
 	}
-	if len(s.cores) != s.cfg.Cores {
-		s.cores = make([]coreState, s.cfg.Cores)
-		for i := range s.cores {
-			s.cores[i] = coreState{history: newHistStore(s.reference)}
-		}
-	}
-	for i := range s.cores {
-		// Reuse the core's history table (cleared) across Reset cycles; the
-		// per-core flat table is one of the larger per-run allocations.
-		h := s.cores[i].history
-		h.clear()
-		s.cores[i] = coreState{
-			id:      i,
-			stream:  streams[i],
-			history: h,
-		}
-		if cs, ok := streams[i].(trace.ChunkStream); ok {
-			s.cores[i].chunks = cs
-		}
-	}
+	s.initCores(streams)
 	s.runQ.reset(s.cfg.Cores)
 	for i := range s.cores {
 		if err := s.runQ.push(s.cores[i].now, int32(i)); err != nil {
@@ -426,9 +398,30 @@ func (s *Simulator) Run(streams []trace.Stream) (*Result, error) {
 	return s.collect(), nil
 }
 
+// initCores rebuilds the per-core contexts for a run over streams, one per
+// core. The checker's Machine passes nil and feeds accesses through Step
+// instead. Each core's history table is kept (cleared) across runs: the
+// per-core flat table is one of the larger per-run allocations.
+func (s *Simulator) initCores(streams []trace.Stream) {
+	if len(s.cores) != s.cfg.Cores {
+		s.cores = make([]coreState, s.cfg.Cores)
+		for i := range s.cores {
+			s.cores[i] = coreState{history: newHistStore(s.reference)}
+		}
+	}
+	for i := range s.cores {
+		h := s.cores[i].history
+		h.clear()
+		s.cores[i] = coreState{id: i, history: h}
+		if streams != nil {
+			s.cores[i].stream = streams[i]
+			s.cores[i].chunks, _ = streams[i].(trace.ChunkStream)
+		}
+	}
+}
+
 // next returns the core's next trace operation, consuming whole chunks
-// from batch-capable streams. The engine's batched loop inlines the
-// buffered fast path and falls back to refill directly.
+// from batch-capable streams.
 func (c *coreState) next() (mem.Access, bool) {
 	if c.bufIdx < len(c.buf) {
 		a := c.buf[c.bufIdx]
@@ -696,9 +689,11 @@ func (s *Simulator) returnIDs(buf []int16) {
 // bits above it makes the queue rebase (see rebase), and a spread of queued
 // clocks that itself does not fit is an error, never a wrapped key.
 //
-// The backing array always holds a queueSentinel just past the last entry
-// (q[:len(q)+1]), so in siftDown every parent has two children and the
-// smaller one is picked without a branch.
+// The engine pops the root core, runs one operation and re-keys it in
+// place (replaceTop), so a core that stays earliest costs one sift-down of
+// two comparisons. The backing array always holds a queueSentinel just past
+// the last entry (q[:len(q)+1]), so in siftDown every parent has two
+// children and the smaller one is picked without a branch.
 type coreQueue struct {
 	q    []uint64
 	base mem.Cycle
@@ -776,29 +771,6 @@ func (q *coreQueue) push(now mem.Cycle, id int32) error {
 
 // top returns the earliest core without removing it.
 func (q *coreQueue) top() int32 { return int32(q.q[0] & queueIDMask) }
-
-// horizon returns the smallest key among the non-root entries — the root
-// core's safe horizon — decoded to (time, id), or an unreachable +inf key
-// when the root is alone. The heap invariant puts the second-smallest key
-// at one of the root's children, so this is two comparisons, not a scan.
-// While the root core's advancing (time, id) key stays strictly below the
-// horizon it remains the global minimum, and the engine may retire its
-// accesses with zero heap operations (see engine.go); keys are unique, so
-// strictly-below is exactly the condition under which the pop/push
-// formulation would pick the same core again.
-func (q *coreQueue) horizon() (mem.Cycle, int32) {
-	k := queueSentinel
-	if len(q.q) > 1 {
-		k = q.q[1]
-	}
-	if len(q.q) > 2 && q.q[2] < k {
-		k = q.q[2]
-	}
-	if k == queueSentinel {
-		return ^mem.Cycle(0), 1<<31 - 1
-	}
-	return q.base + mem.Cycle(k>>queueIDBits), int32(k & queueIDMask)
-}
 
 // replaceTop re-keys the root core at its advanced clock. When the clock
 // does not fit above base, it pops and re-pushes instead, so the rebase
