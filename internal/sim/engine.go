@@ -24,12 +24,18 @@ func (s *Simulator) runEngine() error {
 	for len(s.runQ.q) > 0 {
 		id := s.runQ.top()
 		c := &s.cores[id]
-		a, ok := c.next()
-		if !ok {
-			if err := s.retireTop(c); err != nil {
-				return err
+		var a mem.Access
+		if c.bufIdx < len(c.buf) {
+			a = c.buf[c.bufIdx]
+			c.bufIdx++
+		} else {
+			var ok bool
+			if a, ok = c.refill(); !ok {
+				if err := s.retireTop(c); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
 		}
 		s.step(c, a)
 		var err error

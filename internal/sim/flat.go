@@ -76,9 +76,9 @@ type dirTable struct {
 	live    int
 	dead    int
 	// epoch counts array reallocations (grow, reshape). Probe hints held
-	// outside the table (dirSlotHint) carry the epoch they were
-	// taken under and die when it moves on, so they can never index into
-	// an abandoned array.
+	// outside the table (dirSlotHint) carry the epoch they were taken
+	// under and die when it moves on, so they can never index into an
+	// abandoned array.
 	epoch uint32
 }
 

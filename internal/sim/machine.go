@@ -4,10 +4,11 @@ package sim
 // simulator one data access at a time, under the checker's control,
 // instead of draining trace streams through the run-queue engine. A step
 // executes exactly the engine loop's per-operation body (Simulator.step:
-// gap advance, instruction fetch, data access), so a sequence of Step calls is behaviorally identical to an engine run that selects the
-// same cores in the same order — which is what lets a checker
-// counterexample be re-encoded as a trace whose replay through Run
-// reproduces the violating interleaving (see internal/check).
+// gap advance, instruction fetch, data access), so a sequence of Step
+// calls is behaviorally identical to an engine run that selects the same
+// cores in the same order — which is what lets a checker counterexample be
+// re-encoded as a trace whose replay through Run reproduces the violating
+// interleaving (see internal/check).
 //
 // Snapshot exposes the coherence-relevant machine state (golden/DRAM
 // versions, the home L2 line, the directory entry with its classifier,

@@ -420,18 +420,8 @@ func (s *Simulator) initCores(streams []trace.Stream) {
 	}
 }
 
-// next returns the core's next trace operation, consuming whole chunks
-// from batch-capable streams.
-func (c *coreState) next() (mem.Access, bool) {
-	if c.bufIdx < len(c.buf) {
-		a := c.buf[c.bufIdx]
-		c.bufIdx++
-		return a, true
-	}
-	return c.refill()
-}
-
-// refill is the slow half of next: it fetches the next chunk from a
+// refill is the slow path of the engine's trace fetch, taken when the
+// in-flight chunk is used up: it fetches the next chunk from a
 // batch-capable stream, or one access from a plain stream.
 func (c *coreState) refill() (mem.Access, bool) {
 	if c.chunks != nil {
