@@ -59,25 +59,15 @@ func record(args []string) {
 	if !ok {
 		fatal(fmt.Errorf("unknown workload %q", *workload))
 	}
-	streams := w.Streams(workloads.Spec{Cores: *cores, Scale: *scale, Seed: *seed})
-	recorded := trace.Record(streams)
-
-	f, err := os.Create(*out)
+	// The build streams each core's accesses to disk as it is generated,
+	// so memory stays bounded by one core's sequence.
+	sc, err := trace.BuildSpilledCorpus(w.Build(workloads.Spec{Cores: *cores, Scale: *scale, Seed: *seed}), *out)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := trace.WriteFile(f, recorded); err != nil {
-		fatal(err)
-	}
-	var total int
-	for _, s := range recorded {
-		total += len(s)
-	}
-	st, _ := f.Stat()
-	fmt.Printf("recorded %s: %d cores, %d accesses", *workload, len(recorded), total)
-	if st != nil && total > 0 {
-		fmt.Printf(", %d bytes (%.2f B/access)", st.Size(), float64(st.Size())/float64(total))
+	fmt.Printf("recorded %s: %d cores, %d accesses", *workload, sc.Cores(), sc.Total())
+	if st, err := os.Stat(*out); err == nil && sc.Total() > 0 {
+		fmt.Printf(", %d bytes (%.2f B/access)", st.Size(), float64(st.Size())/float64(sc.Total()))
 	}
 	fmt.Println()
 }

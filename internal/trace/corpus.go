@@ -13,9 +13,9 @@ import (
 // A Corpus is a fully materialized set of per-core access sequences: each
 // generator runs exactly once, synchronously on the calling goroutine, and
 // its output is packed into shared arena blocks. Replay hands out cheap
-// ChunkStream views over the arena — no goroutines, channels or per-access
-// dynamic dispatch — so one generation pays for arbitrarily many
-// simulations of the same (workload, spec).
+// ChunkStream views over the arena, with no per-access dynamic dispatch,
+// so one generation pays for arbitrarily many simulations of the same
+// (workload, spec).
 //
 // A Corpus is immutable after BuildCorpus returns and safe for concurrent
 // replay: views carry their own cursors and never write the arena.
@@ -54,9 +54,9 @@ type Corpus struct {
 	cur      int
 }
 
-// BuildCorpus runs each generator to completion on the calling goroutine
-// and returns the materialized corpus. Generator panics propagate (they
-// indicate workload bugs, exactly as on the live path).
+// BuildCorpus runs each generator to completion, one after another on the
+// calling goroutine, and returns the materialized corpus. A generator's
+// panic (a workload bug) propagates to the caller.
 func BuildCorpus(gens []GenFunc) *Corpus {
 	c := &Corpus{
 		seqs:   make([][][]mem.Access, len(gens)),
@@ -95,12 +95,8 @@ func CorpusFromSlices(seqs [][]mem.Access) *Corpus {
 	return c
 }
 
-// flush implements emitterSink: the chunk is copied into arena storage and
-// the buffer handed straight back for the next chunk.
-func (c *Corpus) flush(chunk []mem.Access) []mem.Access {
-	c.append(chunk)
-	return chunk[:0]
-}
+// flush implements emitterSink: the chunk is copied into arena storage.
+func (c *Corpus) flush(chunk []mem.Access) { c.append(chunk) }
 
 // append copies accs into the arena, sealing segments at block boundaries.
 func (c *Corpus) append(accs []mem.Access) {
@@ -242,9 +238,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // BuildSpilledCorpus runs each generator once, streaming its output to
 // path in the binary trace format (specified in docs/TRACE_FORMAT.md),
-// and returns the on-disk handle. Unlike BuildCorpus+Spill, peak memory
-// is one core's access sequence (plus the chunk buffer) rather than the
-// whole trace: each core is buffered only long enough to learn its record
+// and returns the on-disk handle. Unlike BuildCorpus, peak memory is one
+// core's access sequence (plus the chunk buffer) rather than the whole
+// trace: each core is buffered only long enough to learn its record
 // count (the format prefixes every stream with it), encoded, and
 // released. This is the builder for Scale values whose full trace would
 // not fit in memory.
@@ -255,7 +251,7 @@ func BuildSpilledCorpus(gens []GenFunc, path string) (_ *SpilledCorpus, err erro
 	}
 	// Any abandoned build must take its partial spill file with it — encode
 	// and close errors, but also generator panics, which propagate to the
-	// caller (workload bugs, exactly as on the live path). A sweep that
+	// caller (workload bugs, as in BuildCorpus). A sweep that
 	// leaks one orphan per failed build would slowly fill the spill volume.
 	ok := false
 	defer func() {
@@ -316,16 +312,12 @@ func BuildSpilledCorpus(gens []GenFunc, path string) (_ *SpilledCorpus, err erro
 	return sc, nil
 }
 
-// sliceSink accumulates one core's accesses in a reusable slice, handing
-// the chunk buffer straight back to the Emitter.
+// sliceSink accumulates one core's accesses in a reusable slice.
 type sliceSink struct {
 	accs []mem.Access
 }
 
-func (s *sliceSink) flush(chunk []mem.Access) []mem.Access {
-	s.accs = append(s.accs, chunk...)
-	return chunk[:0]
-}
+func (s *sliceSink) flush(chunk []mem.Access) { s.accs = append(s.accs, chunk...) }
 
 // Cores implements Source.
 func (sc *SpilledCorpus) Cores() int { return len(sc.offsets) }

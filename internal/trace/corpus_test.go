@@ -9,26 +9,52 @@ import (
 	"lacc/internal/mem"
 )
 
-// randomGens builds deterministic pseudo-random generators whose output
-// crosses many chunk and arena-block boundaries.
+// randomSeqs returns deterministic pseudo-random per-core sequences long
+// enough to cross many chunk and arena-block boundaries. They are written
+// out directly, without an Emitter, so they are what randomGens is known
+// to emit.
+func randomSeqs(cores, ops int, seed int64) [][]mem.Access {
+	seqs := make([][]mem.Access, cores)
+	for c := range seqs {
+		rng := rand.New(rand.NewSource(seed + int64(c)))
+		for i := 0; i < ops; i++ {
+			a := mem.Addr(rng.Intn(1<<20) * 8)
+			switch rng.Intn(6) {
+			case 0:
+				gap := uint32(rng.Intn(10))
+				seqs[c] = append(seqs[c], mem.Access{Kind: mem.Write, Addr: a, Gap: gap})
+			case 1:
+				seqs[c] = append(seqs[c],
+					mem.Access{Kind: mem.Lock, Addr: mem.Addr(1 + rng.Intn(3))},
+					mem.Access{Kind: mem.Read, Addr: a},
+					mem.Access{Kind: mem.Unlock, Addr: mem.Addr(1 + rng.Intn(3))})
+			default:
+				seqs[c] = append(seqs[c], mem.Access{Kind: mem.Read, Addr: a})
+			}
+		}
+	}
+	return seqs
+}
+
+// randomGens returns generators that emit randomSeqs' sequences through
+// the Emitter API.
 func randomGens(cores, ops int, seed int64) []GenFunc {
+	seqs := randomSeqs(cores, ops, seed)
 	gens := make([]GenFunc, cores)
 	for c := range gens {
-		c := c
+		seq := seqs[c]
 		gens[c] = func(e *Emitter) {
-			rng := rand.New(rand.NewSource(seed + int64(c)))
-			for i := 0; i < ops; i++ {
-				a := mem.Addr(rng.Intn(1<<20) * 8)
-				switch rng.Intn(6) {
-				case 0:
-					e.Compute(rng.Intn(10))
-					e.Write(a)
-				case 1:
-					e.Lock(uint64(1 + rng.Intn(3)))
-					e.Read(a)
-					e.Unlock(uint64(1 + rng.Intn(3)))
-				default:
-					e.Read(a)
+			for _, a := range seq {
+				e.Compute(int(a.Gap))
+				switch a.Kind {
+				case mem.Read:
+					e.Read(a.Addr)
+				case mem.Write:
+					e.Write(a.Addr)
+				case mem.Lock:
+					e.Lock(uint64(a.Addr))
+				case mem.Unlock:
+					e.Unlock(uint64(a.Addr))
 				}
 			}
 		}
@@ -77,33 +103,39 @@ func equalSeqs(t *testing.T, name string, got, want []mem.Access) {
 	}
 }
 
-// TestCorpusMatchesLiveStreams is the mode-equivalence property at the
-// trace layer: for the same generators, the materialized corpus and the
-// live goroutine/channel pipeline must deliver identical sequences,
-// through both the Next and NextChunk interfaces, across replays.
+// TestCorpusMatchesLiveStreams pins delivery at the trace layer: for
+// seeded generators, in-memory replay (through both Next and NextChunk,
+// and again on a second view) and spilled replay must deliver exactly the
+// sequence each generator is known to emit.
 func TestCorpusMatchesLiveStreams(t *testing.T) {
 	const cores, ops = 4, 9000 // >chunkSize ops per core, crosses blocks
+	want := randomSeqs(cores, ops, 42)
 	gens := randomGens(cores, ops, 42)
 	corpus := BuildCorpus(gens)
 	if corpus.Cores() != cores {
 		t.Fatalf("Cores() = %d, want %d", corpus.Cores(), cores)
 	}
-	for c := 0; c < cores; c++ {
-		live := drain(New(gens[c]))
-		equalSeqs(t, "corpus vs live", drain(corpus.Stream(c)), live)
-		equalSeqs(t, "corpus chunks vs live", drainChunks(corpus.Stream(c)), live)
-		// Replay again: views must be independent cursors.
-		equalSeqs(t, "second replay", drain(corpus.Stream(c)), live)
-		if corpus.Accesses(c) != uint64(len(live)) {
-			t.Fatalf("Accesses(%d) = %d, want %d", c, corpus.Accesses(c), len(live))
-		}
+	sc, err := BuildSpilledCorpus(gens, filepath.Join(t.TempDir(), "spill.lacctrc"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sc.Remove()
 	var total uint64
 	for c := 0; c < cores; c++ {
-		total += corpus.Accesses(c)
+		equalSeqs(t, "corpus", drain(corpus.Stream(c)), want[c])
+		equalSeqs(t, "corpus chunks", drainChunks(corpus.Stream(c)), want[c])
+		// Replay again: views must be independent cursors.
+		equalSeqs(t, "second replay", drain(corpus.Stream(c)), want[c])
+		equalSeqs(t, "spilled", drain(sc.Stream(c)), want[c])
+		equalSeqs(t, "spilled chunks", drainChunks(sc.Stream(c)), want[c])
+		if corpus.Accesses(c) != uint64(len(want[c])) || sc.Accesses(c) != uint64(len(want[c])) {
+			t.Fatalf("Accesses(%d) = %d in memory, %d spilled, want %d",
+				c, corpus.Accesses(c), sc.Accesses(c), len(want[c]))
+		}
+		total += uint64(len(want[c]))
 	}
-	if corpus.Total() != total {
-		t.Fatalf("Total() = %d, want %d", corpus.Total(), total)
+	if corpus.Total() != total || sc.Total() != total {
+		t.Fatalf("Total() = %d in memory, %d spilled, want %d", corpus.Total(), sc.Total(), total)
 	}
 }
 
@@ -183,6 +215,7 @@ func TestSpilledCorpusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalSeqs(t, "replay after Remove", drain(inFlight), drain(corpus.Stream(0)))
+	inFlight.Close() // Close is idempotent: the reference is dropped once
 	sc.mu.Lock()
 	leaked := sc.f != nil || sc.refs != 0
 	sc.mu.Unlock()

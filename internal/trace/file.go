@@ -57,7 +57,7 @@ func WriteFile(w io.Writer, streams [][]mem.Access) error {
 }
 
 // streamEncoder writes the binary trace format (shared by WriteFile and
-// Corpus.Spill).
+// BuildSpilledCorpus).
 type streamEncoder struct {
 	bw   *bufio.Writer
 	buf  [binary.MaxVarintLen64]byte
@@ -196,23 +196,6 @@ func (d *streamDecoder) next() (a mem.Access, ok bool, err error) {
 	d.remaining--
 	d.read++
 	return mem.Access{Kind: mem.AccessKind(kind), Gap: uint32(gap), Addr: mem.Addr(d.prev)}, true, nil
-}
-
-// Record drains the given streams into memory (closing them) and returns
-// the per-core access slices, ready for WriteFile.
-func Record(streams []Stream) [][]mem.Access {
-	out := make([][]mem.Access, len(streams))
-	for i, s := range streams {
-		for {
-			a, ok := s.Next()
-			if !ok {
-				break
-			}
-			out[i] = append(out[i], a)
-		}
-		s.Close()
-	}
-	return out
 }
 
 // FromSlices wraps per-core access slices as replayable streams.

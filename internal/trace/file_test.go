@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,6 +137,8 @@ func TestReadFileRejectsHugeCoreCount(t *testing.T) {
 	}
 }
 
+// TestRecordAndReplay records generators the way lacc-trace does (a
+// spilled build), reads the file back and replays it.
 func TestRecordAndReplay(t *testing.T) {
 	gens := []GenFunc{
 		func(e *Emitter) {
@@ -145,11 +149,19 @@ func TestRecordAndReplay(t *testing.T) {
 		},
 		func(e *Emitter) { e.Write(1 << 23) },
 	}
-	streams := make([]Stream, len(gens))
-	for i, g := range gens {
-		streams[i] = New(g)
+	path := filepath.Join(t.TempDir(), "rec.lacctrc")
+	if _, err := BuildSpilledCorpus(gens, path); err != nil {
+		t.Fatal(err)
 	}
-	recorded := Record(streams)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := ReadFile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recorded[0]) != 100 || len(recorded[1]) != 1 {
 		t.Fatalf("recorded %d/%d accesses", len(recorded[0]), len(recorded[1]))
 	}

@@ -1,18 +1,14 @@
 // Package trace provides deterministic per-core memory access streams.
 // Workload kernels are written as ordinary imperative code against an
-// Emitter. Two delivery modes exist:
+// Emitter. A trace reaches the simulator one way: BuildCorpus runs every
+// kernel once, to completion and one after another on the calling
+// goroutine, into chunked arena storage, and replay hands out cheap
+// ChunkStream views of it; BuildSpilledCorpus does the same into the binary
+// trace format on disk, for traces too large for memory. FromSlice wraps an
+// access slice the caller built as the same kind of view.
 //
-//   - live (New): each core's kernel runs in its own goroutine and delivers
-//     accesses in fixed-size chunks over a channel, so traces are never
-//     fully materialized;
-//   - materialized (BuildCorpus): every kernel runs once, synchronously,
-//     into chunked arena storage, and replay hands out cheap ChunkStream
-//     views — the experiment layer's choice, since sweeps re-simulate the
-//     same trace many times.
-//
-// Delivery order per stream is exactly emission order in both modes, so
-// simulations are deterministic regardless of goroutine scheduling and
-// bit-identical across modes.
+// Delivery order per stream is exactly emission order, so simulations are
+// deterministic and bit-identical across in-memory and spilled replay.
 package trace
 
 import (
@@ -21,14 +17,15 @@ import (
 	"lacc/internal/mem"
 )
 
-// chunkSize balances channel traffic against buffering memory.
+// chunkSize is the Emitter's buffer length in accesses: a kernel's output
+// reaches its sink this many accesses at a time. Spilled replay decodes in
+// batches of the same size.
 const chunkSize = 4096
 
-// chunkPool recycles Emitter chunk buffers for sinks that retain buffer
-// ownership (the corpus build path copies each chunk into arena storage and
-// hands the buffer straight back, so one pooled buffer serves a whole
-// corpus build — and concurrent builds don't contend on a shared buffer).
-// The channel path cannot pool: flushed buffers are owned by the consumer.
+// chunkPool recycles Emitter chunk buffers. Every sink copies a flushed
+// chunk out and the Emitter refills the same buffer, so one pooled buffer
+// serves a whole build, and concurrent builds don't contend on a shared
+// buffer.
 var chunkPool = sync.Pool{
 	New: func() any {
 		buf := make([]mem.Access, 0, chunkSize)
@@ -40,7 +37,7 @@ var chunkPool = sync.Pool{
 type Stream interface {
 	// Next returns the next access; ok is false once the stream ends.
 	Next() (a mem.Access, ok bool)
-	// Close releases generator resources. It is safe to call multiple
+	// Close releases the stream's resources. It is safe to call multiple
 	// times and after exhaustion.
 	Close()
 }
@@ -57,18 +54,14 @@ type ChunkStream interface {
 }
 
 // GenFunc emits one core's trace through the Emitter. Returning ends the
-// stream.
+// stream. A build runs its generators to completion one after another on
+// one goroutine, so a generator must not wait on another.
 type GenFunc func(e *Emitter)
 
-// aborted signals generator shutdown via panic/recover, the only way to
-// stop arbitrary kernel code blocked on a full channel.
-type aborted struct{}
-
-// emitterSink consumes full chunks from an Emitter. flush takes ownership
-// of chunk and returns the buffer to fill next (which may be chunk itself,
-// reset, when the sink copies the data out).
+// emitterSink consumes full chunks from an Emitter. flush copies the chunk
+// out; the Emitter then reuses the buffer.
 type emitterSink interface {
-	flush(chunk []mem.Access) (next []mem.Access)
+	flush(chunk []mem.Access)
 }
 
 // Emitter collects accesses from a workload kernel. Compute gaps accumulate
@@ -125,127 +118,13 @@ func (e *Emitter) flush() {
 	if len(e.chunk) == 0 {
 		return
 	}
-	e.chunk = e.sink.flush(e.chunk)
-}
-
-// chanSink delivers chunks over the generator goroutine's channel. The
-// consumer owns flushed buffers, so every flush starts a fresh one.
-type chanSink struct {
-	out  chan []mem.Access
-	quit chan struct{}
-}
-
-func (s *chanSink) flush(chunk []mem.Access) []mem.Access {
-	select {
-	case s.out <- chunk:
-		return make([]mem.Access, 0, chunkSize)
-	case <-s.quit:
-		panic(aborted{})
-	}
-}
-
-// chanStream adapts the generator goroutine's channel to the Stream
-// interface.
-type chanStream struct {
-	ch     chan []mem.Access
-	quit   chan struct{}
-	cur    []mem.Access
-	idx    int
-	closed bool
-}
-
-// New starts gen in a goroutine and returns its stream.
-func New(gen GenFunc) Stream {
-	s := &chanStream{
-		ch:   make(chan []mem.Access, 2),
-		quit: make(chan struct{}),
-	}
-	e := &Emitter{
-		chunk: make([]mem.Access, 0, chunkSize),
-		sink:  &chanSink{out: s.ch, quit: s.quit},
-	}
-	go func() {
-		defer close(s.ch)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(aborted); !ok {
-					panic(r) // real kernel bug: propagate
-				}
-			}
-		}()
-		gen(e)
-		e.flush()
-	}()
-	return s
-}
-
-func (s *chanStream) Next() (mem.Access, bool) {
-	for s.idx >= len(s.cur) {
-		chunk, ok := <-s.ch
-		if !ok {
-			return mem.Access{}, false
-		}
-		s.cur, s.idx = chunk, 0
-	}
-	a := s.cur[s.idx]
-	s.idx++
-	return a, true
-}
-
-// NextChunk implements ChunkStream: it hands over the undelivered remainder
-// of the current chunk, or receives the next one.
-func (s *chanStream) NextChunk() ([]mem.Access, bool) {
-	for s.idx >= len(s.cur) {
-		chunk, ok := <-s.ch
-		if !ok {
-			return nil, false
-		}
-		s.cur, s.idx = chunk, 0
-	}
-	c := s.cur[s.idx:]
-	s.idx = len(s.cur)
-	return c, true
-}
-
-func (s *chanStream) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	close(s.quit)
-	// Drain so the generator goroutine observes quit or finishes.
-	for range s.ch {
-	}
+	e.sink.flush(e.chunk)
+	e.chunk = e.chunk[:0]
 }
 
 // FromSlice returns a Stream over a pre-built access slice (test helper and
-// public custom-trace entry point).
+// public custom-trace entry point): a one-segment corpus view that shares
+// the caller's slice and never writes to it.
 func FromSlice(accesses []mem.Access) Stream {
-	return &sliceStream{accesses: accesses}
+	return &corpusStream{segs: [][]mem.Access{accesses}}
 }
-
-type sliceStream struct {
-	accesses []mem.Access
-	idx      int
-}
-
-func (s *sliceStream) Next() (mem.Access, bool) {
-	if s.idx >= len(s.accesses) {
-		return mem.Access{}, false
-	}
-	a := s.accesses[s.idx]
-	s.idx++
-	return a, true
-}
-
-// NextChunk implements ChunkStream: the whole remaining slice at once.
-func (s *sliceStream) NextChunk() ([]mem.Access, bool) {
-	if s.idx >= len(s.accesses) {
-		return nil, false
-	}
-	c := s.accesses[s.idx:]
-	s.idx = len(s.accesses)
-	return c, true
-}
-
-func (s *sliceStream) Close() {}

@@ -6,8 +6,11 @@ import (
 	"lacc/internal/mem"
 )
 
+// build materializes one generator and returns its replay stream.
+func build(gen GenFunc) Stream { return BuildCorpus([]GenFunc{gen}).Stream(0) }
+
 func TestStreamDeliversEmissionOrder(t *testing.T) {
-	s := New(func(e *Emitter) {
+	s := build(func(e *Emitter) {
 		for i := 0; i < 10000; i++ {
 			if i%3 == 0 {
 				e.Write(mem.Addr(i * 8))
@@ -39,7 +42,7 @@ func TestStreamDeliversEmissionOrder(t *testing.T) {
 }
 
 func TestComputeGapsAttachToNextOp(t *testing.T) {
-	s := New(func(e *Emitter) {
+	s := build(func(e *Emitter) {
 		e.Compute(10)
 		e.Compute(5)
 		e.Read(0x100)
@@ -63,7 +66,7 @@ func TestComputeGapsAttachToNextOp(t *testing.T) {
 }
 
 func TestNegativeComputeIgnored(t *testing.T) {
-	s := New(func(e *Emitter) {
+	s := build(func(e *Emitter) {
 		e.Compute(-5)
 		e.Read(0)
 	})
@@ -75,7 +78,7 @@ func TestNegativeComputeIgnored(t *testing.T) {
 }
 
 func TestSyncOps(t *testing.T) {
-	s := New(func(e *Emitter) {
+	s := build(func(e *Emitter) {
 		e.Lock(3)
 		e.Write(0x40)
 		e.Unlock(3)
@@ -88,24 +91,6 @@ func TestSyncOps(t *testing.T) {
 			t.Fatalf("op %d = %+v ok=%v, want kind %v", i, a, ok, want)
 		}
 	}
-}
-
-func TestCloseStopsBlockedGenerator(t *testing.T) {
-	done := make(chan struct{})
-	s := New(func(e *Emitter) {
-		defer close(done)
-		for i := 0; ; i++ { // infinite generator
-			e.Read(mem.Addr(i))
-		}
-	})
-	// Consume a little, then close; the goroutine must exit.
-	for i := 0; i < 100; i++ {
-		s.Next()
-	}
-	s.Close()
-	<-done // hangs (test timeout) if abort fails
-	// Close is idempotent.
-	s.Close()
 }
 
 func TestFromSlice(t *testing.T) {
@@ -124,10 +109,20 @@ func TestFromSlice(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Fatal("slice stream did not end")
 	}
+	s.Close() // Close is idempotent
+
+	// The chunked view hands back the caller's own slice, not a copy.
+	c, ok := FromSlice(accs).(ChunkStream).NextChunk()
+	if !ok || len(c) != len(accs) || &c[0] != &accs[0] {
+		t.Fatalf("NextChunk = %d accesses ok=%v, want the caller's slice", len(c), ok)
+	}
+	if _, ok := FromSlice(nil).Next(); ok {
+		t.Fatal("empty slice stream yielded an access")
+	}
 }
 
 func TestEmptyGenerator(t *testing.T) {
-	s := New(func(e *Emitter) {})
+	s := build(func(e *Emitter) {})
 	defer s.Close()
 	if _, ok := s.Next(); ok {
 		t.Fatal("empty generator produced an access")

@@ -1,39 +1,46 @@
 package workloads
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"lacc/internal/trace"
 )
 
-// TestCorpusReplayMatchesLiveStreams is the workload-level mode-equivalence
-// guarantee: for every registered benchmark, replaying the materialized
-// corpus must deliver exactly the access sequence the live goroutine/channel
-// pipeline delivers, core by core. The experiment layer simulates from
-// corpora while the public API simulates live, so this test is what keeps
-// the two worlds bit-identical.
+// TestCorpusReplayMatchesLiveStreams pins, for every registered benchmark,
+// that the two replay paths deliver the same accesses core by core: the
+// in-memory corpus that sweeps and the public API replay, and the spilled
+// build (BuildSpilledCorpus) that large-scale sweeps and lacc-trace record
+// write to disk.
 func TestCorpusReplayMatchesLiveStreams(t *testing.T) {
 	spec := Spec{Cores: 4, Scale: 0.05, Seed: 3}
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			corpus := w.Corpus(spec)
+			corpus, ok := w.Corpus(spec).(*trace.Corpus)
+			if !ok {
+				t.Fatalf("corpus not in memory: %T", w.Corpus(spec))
+			}
 			if corpus.Cores() != spec.Cores {
 				t.Fatalf("corpus has %d cores, want %d", corpus.Cores(), spec.Cores)
 			}
-			live := w.Streams(spec)
-			replay := corpus.Streams()
+			sc, err := trace.BuildSpilledCorpus(w.Build(spec), filepath.Join(t.TempDir(), w.Name+".lacctrc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Remove()
+			inMem, spilled := corpus.Streams(), sc.Streams()
 			for c := 0; c < spec.Cores; c++ {
-				want := drain(t, live[c])
-				got := drain(t, replay[c])
+				want := drain(t, inMem[c])
+				got := drain(t, spilled[c])
 				if len(got) != len(want) {
-					t.Fatalf("core %d: corpus %d accesses, live %d", c, len(got), len(want))
+					t.Fatalf("core %d: spilled %d accesses, in memory %d", c, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("core %d access %d: corpus %+v, live %+v", c, i, got[i], want[i])
+						t.Fatalf("core %d access %d: spilled %+v, in memory %+v", c, i, got[i], want[i])
 					}
 				}
 			}
@@ -82,8 +89,8 @@ func TestCorpusBuiltExactlyOnce(t *testing.T) {
 }
 
 // TestCorpusSpillPolicy checks the large-trace spill path: above the
-// threshold the cache hands out an on-disk source whose replay matches the
-// live streams; below it the corpus stays in memory.
+// threshold the cache hands out an on-disk source whose replay matches
+// Streams; below it the corpus stays in memory.
 func TestCorpusSpillPolicy(t *testing.T) {
 	dir := t.TempDir()
 	if err := SetCorpusSpill(dir, 1); err != nil { // spill everything
@@ -98,17 +105,17 @@ func TestCorpusSpillPolicy(t *testing.T) {
 	if !ok {
 		t.Fatalf("corpus not spilled: %T", src)
 	}
-	live := w.Streams(spec)
+	direct := w.Streams(spec)
 	replay := sc.Streams()
 	for c := 0; c < spec.Cores; c++ {
-		want := drain(t, live[c])
+		want := drain(t, direct[c])
 		got := drain(t, replay[c])
 		if len(got) != len(want) {
-			t.Fatalf("core %d: spilled %d accesses, live %d", c, len(got), len(want))
+			t.Fatalf("core %d: spilled %d accesses, Streams %d", c, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("core %d access %d: spilled %+v, live %+v", c, i, got[i], want[i])
+				t.Fatalf("core %d access %d: spilled %+v, Streams %+v", c, i, got[i], want[i])
 			}
 		}
 	}

@@ -84,15 +84,11 @@ func (w Workload) Build(s Spec) []trace.GenFunc {
 	return w.build(s.normalize())
 }
 
-// Streams builds the workload and starts one lazily generated stream per
-// core.
+// Streams materializes the workload's trace at s and returns one replay
+// stream per core. Unlike Corpus, every call runs the generators again:
+// nothing is cached and CorpusBuilds does not count it.
 func (w Workload) Streams(s Spec) []trace.Stream {
-	gens := w.Build(s)
-	streams := make([]trace.Stream, len(gens))
-	for i, g := range gens {
-		streams[i] = trace.New(g)
-	}
-	return streams
+	return trace.BuildCorpus(w.Build(s)).Streams()
 }
 
 // corpusKey identifies one materialized trace: a workload's output is a

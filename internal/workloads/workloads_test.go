@@ -58,6 +58,12 @@ func drain(t *testing.T, s trace.Stream) []mem.Access {
 	return out
 }
 
+// generate runs one generator and returns what it emitted.
+func generate(t *testing.T, g trace.GenFunc) []mem.Access {
+	t.Helper()
+	return drain(t, trace.BuildCorpus([]trace.GenFunc{g}).Stream(0))
+}
+
 // TestEveryWorkloadEmits checks, for every registered workload, that every
 // core emits a non-empty stream of well-formed operations: data addresses
 // inside the data segment, matched lock/unlock pairs, and identical barrier
@@ -74,7 +80,7 @@ func TestEveryWorkloadEmits(t *testing.T) {
 			}
 			var barrierSeqs [][]mem.Addr
 			for c, g := range gens {
-				accs := drain(t, trace.New(g))
+				accs := generate(t, g)
 				if len(accs) == 0 {
 					t.Fatalf("core %d emitted no accesses", c)
 				}
@@ -139,8 +145,8 @@ func TestDeterminism(t *testing.T) {
 			g1 := w.Build(spec)
 			g2 := w.Build(spec)
 			for c := range g1 {
-				a1 := drain(t, trace.New(g1[c]))
-				a2 := drain(t, trace.New(g2[c]))
+				a1 := generate(t, g1[c])
+				a2 := generate(t, g2[c])
 				if len(a1) != len(a2) {
 					t.Fatalf("core %d: %d vs %d accesses across builds", c, len(a1), len(a2))
 				}
@@ -159,8 +165,8 @@ func TestDeterminism(t *testing.T) {
 func TestSeedChangesRandomizedWorkloads(t *testing.T) {
 	for _, name := range []string{"canneal", "raytrace", "dedup"} {
 		w := MustByName(name)
-		a := drain(t, trace.New(w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 1})[0]))
-		b := drain(t, trace.New(w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 2})[0]))
+		a := generate(t, w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 1})[0])
+		b := generate(t, w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 2})[0])
 		same := len(a) == len(b)
 		if same {
 			for i := range a {
@@ -179,8 +185,8 @@ func TestSeedChangesRandomizedWorkloads(t *testing.T) {
 // TestScaleGrowsProblem checks the Scale knob increases trace volume.
 func TestScaleGrowsProblem(t *testing.T) {
 	w := MustByName("blackscholes")
-	small := drain(t, trace.New(w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 0})[0]))
-	large := drain(t, trace.New(w.Build(Spec{Cores: 4, Scale: 0.5, Seed: 0})[0]))
+	small := generate(t, w.Build(Spec{Cores: 4, Scale: 0.1, Seed: 0})[0])
+	large := generate(t, w.Build(Spec{Cores: 4, Scale: 0.5, Seed: 0})[0])
 	if len(large) <= len(small) {
 		t.Fatalf("scale 0.5 trace (%d) not larger than scale 0.1 trace (%d)",
 			len(large), len(small))

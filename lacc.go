@@ -65,24 +65,21 @@ func RunWorkload(cfg Config, name string, scale float64, seed uint64) (*Result, 
 	return Run(cfg, w.Streams(workloads.Spec{Cores: cfg.Cores, Scale: scale, Seed: seed}))
 }
 
-// RunGenerators starts one lazily evaluated stream per generator and runs
-// them under cfg (convenience composing NewStreams and Run).
+// RunGenerators runs each generator to completion, one after another on
+// the calling goroutine, and simulates their traces under cfg (NewStreams
+// composed with Run). A generator's panic propagates to the caller.
 func RunGenerators(cfg Config, gens []GenFunc) (*Result, error) {
 	return Run(cfg, NewStreams(gens))
 }
 
-// NewStream starts gen in a goroutine and returns its lazily generated
-// stream.
-func NewStream(gen GenFunc) Stream { return trace.New(gen) }
+// NewStream runs gen to completion on the calling goroutine and returns a
+// replay stream over the accesses it emitted.
+func NewStream(gen GenFunc) Stream { return trace.BuildCorpus([]GenFunc{gen}).Stream(0) }
 
-// NewStreams starts one stream per generator.
-func NewStreams(gens []GenFunc) []Stream {
-	streams := make([]Stream, len(gens))
-	for i, g := range gens {
-		streams[i] = trace.New(g)
-	}
-	return streams
-}
+// NewStreams runs the generators to completion, one after another on the
+// calling goroutine, into one materialized trace, and returns one replay
+// stream per generator.
+func NewStreams(gens []GenFunc) []Stream { return trace.BuildCorpus(gens).Streams() }
 
 // StreamFromAccesses wraps a pre-built access slice as a Stream (useful for
 // replaying recorded traces).

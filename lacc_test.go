@@ -70,6 +70,28 @@ func TestCustomGenerators(t *testing.T) {
 	}
 }
 
+// TestRunGeneratorsPanicReachesCaller pins that a generator's panic (a
+// workload bug) surfaces on the caller's goroutine, where recover catches
+// it, instead of killing the process from a goroutine of its own.
+func TestRunGeneratorsPanicReachesCaller(t *testing.T) {
+	cfg := smallConfig()
+	gens := make([]lacc.GenFunc, cfg.Cores)
+	for c := range gens {
+		gens[c] = func(e *lacc.Emitter) { e.Read(lacc.DataBase) }
+	}
+	gens[cfg.Cores/2] = func(e *lacc.Emitter) {
+		e.Read(lacc.DataBase)
+		panic("generator bug")
+	}
+	defer func() {
+		if r := recover(); r != "generator bug" {
+			t.Fatalf("recovered %v, want the generator's panic", r)
+		}
+	}()
+	lacc.RunGenerators(cfg, gens)
+	t.Fatal("RunGenerators returned despite a panicking generator")
+}
+
 func TestStreamFromAccesses(t *testing.T) {
 	cfg := smallConfig()
 	streams := make([]lacc.Stream, cfg.Cores)
