@@ -109,11 +109,7 @@ func runProgram(t *testing.T, cfg Config, reference bool, prog [][]mem.Access) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := make([]trace.Stream, len(prog))
-	for i := range prog {
-		streams[i] = trace.FromSlice(prog[i])
-	}
-	res, err := s.Run(streams)
+	res, err := s.Run(sliceStreams(prog))
 	if err != nil {
 		t.Fatalf("reference=%v: %v", reference, err)
 	}
@@ -458,9 +454,10 @@ func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 	return progs
 }
 
-// engineProtocols are the protocol configurations TestEngineShardedVsGeneric
-// replays; TestBuiltinProtocolsRunBatched checks they name every registered
-// kind.
+// engineProtocols are the protocol configurations that
+// TestEngineShardedVsGeneric and TestNextOnlyStreamsMatchChunked
+// replay; TestBuiltinProtocolsRunBatched checks they name every
+// registered kind.
 var engineProtocols = []struct {
 	name string
 	mut  func(*Config)
@@ -473,6 +470,16 @@ var engineProtocols = []struct {
 	{"dls", func(c *Config) { c.ProtocolKind = ProtocolDLS }},
 	{"neat", func(c *Config) { c.ProtocolKind = ProtocolNeat }},
 	{"hybrid", func(c *Config) { c.ProtocolKind = ProtocolHybrid }},
+}
+
+// programShapes are the program builders the engine tests replay.
+var programShapes = []struct {
+	name  string
+	build func(*rand.Rand, int) [][]mem.Access
+}{
+	{"mixed", buildRandomProgram},
+	{"lock-heavy", buildLockHeavyProgram},
+	{"barrier-heavy", buildBarrierHeavyProgram},
 }
 
 // TestEngineShardedVsGeneric pins where simulation work is spread across
@@ -495,18 +502,10 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 			c.Cores, c.MeshWidth, c.MemControllers = 2, 2, 2
 		}},
 	}
-	programs := []struct {
-		name  string
-		build func(*rand.Rand, int) [][]mem.Access
-	}{
-		{"mixed", buildRandomProgram},
-		{"lock-heavy", buildLockHeavyProgram},
-		{"barrier-heavy", buildBarrierHeavyProgram},
-	}
 	const concurrent = 2
 	for _, p := range engineProtocols {
 		for _, g := range geometries {
-			for _, w := range programs {
+			for _, w := range programShapes {
 				p, g, w := p, g, w
 				t.Run(p.name+"/"+g.name+"/"+w.name, func(t *testing.T) {
 					t.Parallel()
@@ -548,8 +547,8 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 }
 
 // TestBuiltinProtocolsRunBatched pins that every registered protocol is
-// named in engineProtocols, so TestEngineShardedVsGeneric replays it
-// against the reference core.
+// named in engineProtocols, so TestEngineShardedVsGeneric and
+// TestNextOnlyStreamsMatchChunked replay it.
 func TestBuiltinProtocolsRunBatched(t *testing.T) {
 	covered := map[ProtocolKind]bool{}
 	for _, p := range engineProtocols {
@@ -560,6 +559,46 @@ func TestBuiltinProtocolsRunBatched(t *testing.T) {
 	for _, kind := range ProtocolKinds() {
 		if !covered[kind] {
 			t.Errorf("%s is missing from TestEngineShardedVsGeneric's protocol table", kind)
+		}
+	}
+}
+
+// nextOnly hides a stream's NextChunk, as a stream that a caller
+// implements with Next alone does: the engine must then fetch through
+// Next, one access at a time.
+type nextOnly struct{ trace.Stream }
+
+// TestNextOnlyStreamsMatchChunked pins the public Stream contract for
+// streams without NextChunk: for every protocol and program shape
+// (including lock- and barrier-heavy ones), a run fed through Next alone
+// must be bit-identical to the same program fed in chunks.
+func TestNextOnlyStreamsMatchChunked(t *testing.T) {
+	for _, p := range engineProtocols {
+		for _, w := range programShapes {
+			p, w := p, w
+			t.Run(p.name+"/"+w.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := diffConfig()
+				p.mut(&cfg)
+				prog := w.build(rand.New(rand.NewSource(13)), cfg.Cores)
+				chunkSim, chunkRes := runProgram(t, cfg, false, prog)
+				streams := sliceStreams(prog)
+				for i, st := range streams {
+					streams[i] = nextOnly{st}
+					if _, ok := streams[i].(trace.ChunkStream); ok {
+						t.Fatal("nextOnly still offers NextChunk")
+					}
+				}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(streams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareStates(t, "Next-only vs chunked", s, res, chunkSim, chunkRes)
+			})
 		}
 	}
 }
