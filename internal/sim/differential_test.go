@@ -455,8 +455,8 @@ func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 }
 
 // engineProtocols are the protocol configurations that
-// TestEngineShardedVsGeneric and TestNextOnlyStreamsMatchChunked
-// replay; TestBuiltinProtocolsRunBatched checks they name every
+// TestConcurrentSimulatorsMatchReference and TestNextOnlyStreamsMatchChunked
+// replay; TestEngineProtocolsCoverEveryKind checks they name every
 // registered kind.
 var engineProtocols = []struct {
 	name string
@@ -482,14 +482,14 @@ var programShapes = []struct {
 	{"barrier-heavy", buildBarrierHeavyProgram},
 }
 
-// TestEngineShardedVsGeneric pins where simulation work is spread across
+// TestConcurrentSimulatorsMatchReference pins where simulation work is spread across
 // goroutines now that one simulation is never split into shards: only
 // whole, independent simulators run side by side (the experiment layer's
 // runJobs). For every protocol, geometry and workload shape, simulators
 // replaying the same program concurrently must each reproduce a
 // reference-core run (newReference) bit for bit. Run with -race in CI, this
 // is also the proof that independent simulators share no mutable state.
-func TestEngineShardedVsGeneric(t *testing.T) {
+func TestConcurrentSimulatorsMatchReference(t *testing.T) {
 	geometries := []struct {
 		name string
 		mut  func(*Config)
@@ -546,10 +546,10 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 	}
 }
 
-// TestBuiltinProtocolsRunBatched pins that every registered protocol is
-// named in engineProtocols, so TestEngineShardedVsGeneric and
+// TestEngineProtocolsCoverEveryKind pins that every registered protocol is
+// named in engineProtocols, so TestConcurrentSimulatorsMatchReference and
 // TestNextOnlyStreamsMatchChunked replay it.
-func TestBuiltinProtocolsRunBatched(t *testing.T) {
+func TestEngineProtocolsCoverEveryKind(t *testing.T) {
 	covered := map[ProtocolKind]bool{}
 	for _, p := range engineProtocols {
 		cfg := diffConfig()
@@ -558,7 +558,7 @@ func TestBuiltinProtocolsRunBatched(t *testing.T) {
 	}
 	for _, kind := range ProtocolKinds() {
 		if !covered[kind] {
-			t.Errorf("%s is missing from TestEngineShardedVsGeneric's protocol table", kind)
+			t.Errorf("%s is missing from TestConcurrentSimulatorsMatchReference's protocol table", kind)
 		}
 	}
 }
