@@ -132,7 +132,7 @@ func TestServedMatchesDirect(t *testing.T) {
 			t.Fatalf("status %d: %s", status, body)
 		}
 		// The direct equivalent: the same machine through the plain
-		// library entry point (live generator streams, no session) — the
+		// library entry point (an uncached corpus, no session) — the
 		// served result must match bit for bit.
 		cfg := lacc.ExperimentOptions{Cores: testCores}.BaseConfig()
 		direct, err := lacc.RunWorkload(cfg, "matmul", testScale, 0)

@@ -9,8 +9,9 @@ import (
 type Stream = trace.Stream
 
 // GenFunc emits one core's trace through an Emitter; returning ends the
-// stream. Generators run concurrently (one goroutine per core) and must not
-// share mutable state.
+// stream. Generators run to completion one after another on the caller's
+// goroutine, so a generator must not wait on another; a generator's panic
+// reaches the caller.
 type GenFunc = trace.GenFunc
 
 // Emitter is the trace construction API handed to generators: Read, Write,
@@ -47,8 +48,9 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// WorkloadStreams builds the named benchmark's per-core streams without
-// running them (useful for inspecting or recording traces).
+// WorkloadStreams materializes the named benchmark's trace and returns its
+// per-core streams without simulating them (useful for inspecting or
+// recording traces).
 func WorkloadStreams(name string, cores int, scale float64, seed uint64) ([]Stream, bool) {
 	w, ok := workloads.ByName(name)
 	if !ok {
