@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// TestRecordPin pins the exact bytes `lacc-trace record` writes: the
-// SHA-256 of each file was recorded from a build that drained live
-// per-core streams into memory before encoding, so any change to how
-// record produces its trace must reproduce that file bit for bit.
+// TestRecordPin pins the exact bytes `lacc-trace record` writes. Each
+// SHA-256 was recorded when record still drained in-memory streams before
+// encoding, so any change to how record produces its trace must reproduce
+// those files bit for bit. CI's trace-tool step checks the streamcluster
+// file against the same pin.
 func TestRecordPin(t *testing.T) {
 	pins := []struct{ workload, sha256 string }{
 		{"streamcluster", "83220b59d92856d2c752798a78603c842160b0c21d8a9cfc18fedc05068b2d5c"},
