@@ -109,7 +109,7 @@ func runProgram(t *testing.T, cfg Config, reference bool, prog [][]mem.Access) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(sliceStreams(prog))
+	res, err := s.Run(trace.FromSlices(prog))
 	if err != nil {
 		t.Fatalf("reference=%v: %v", reference, err)
 	}
@@ -298,13 +298,13 @@ func TestResetReproducesFreshSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reused.Run(sliceStreams(dirty)); err != nil {
+			if _, err := reused.Run(trace.FromSlices(dirty)); err != nil {
 				t.Fatal(err)
 			}
 			if err := reused.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}
-			res, err := reused.Run(sliceStreams(prog))
+			res, err := reused.Run(trace.FromSlices(prog))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,13 +322,13 @@ func TestResetReproducesFreshSimulator(t *testing.T) {
 			if err := reused.Reset(detour); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reused.Run(sliceStreams(dirty)); err != nil {
+			if _, err := reused.Run(trace.FromSlices(dirty)); err != nil {
 				t.Fatal(err)
 			}
 			if err := reused.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}
-			res2, err := reused.Run(sliceStreams(prog))
+			res2, err := reused.Run(trace.FromSlices(prog))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func TestResetReproducesFreshSimulator(t *testing.T) {
 			if err := reused.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}
-			res3, err := reused.Run(sliceStreams(prog))
+			res3, err := reused.Run(trace.FromSlices(prog))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,13 +364,13 @@ func TestResetAcrossGeometries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(sliceStreams(progSmall)); err != nil {
+	if _, err := s.Run(trace.FromSlices(progSmall)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Reset(big); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(sliceStreams(progBig))
+	res, err := s.Run(trace.FromSlices(progBig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +389,6 @@ func TestResetRejectsBadConfig(t *testing.T) {
 	if err := s.Reset(bad); err == nil {
 		t.Fatal("Reset accepted an invalid config")
 	}
-}
-
-func sliceStreams(prog [][]mem.Access) []trace.Stream {
-	streams := make([]trace.Stream, len(prog))
-	for i := range prog {
-		streams[i] = trace.FromSlice(prog[i])
-	}
-	return streams
 }
 
 // buildLockHeavyProgram emits a synchronization-dominated workload: short
@@ -528,7 +520,7 @@ func TestConcurrentSimulatorsMatchReference(t *testing.T) {
 								return
 							}
 							sims[i] = s
-							results[i], errs[i] = s.Run(sliceStreams(prog))
+							results[i], errs[i] = s.Run(trace.FromSlices(prog))
 						}(i)
 					}
 					wg.Wait()
@@ -582,7 +574,7 @@ func TestNextOnlyStreamsMatchChunked(t *testing.T) {
 				p.mut(&cfg)
 				prog := w.build(rand.New(rand.NewSource(13)), cfg.Cores)
 				chunkSim, chunkRes := runProgram(t, cfg, false, prog)
-				streams := sliceStreams(prog)
+				streams := trace.FromSlices(prog)
 				for i, st := range streams {
 					streams[i] = nextOnly{st}
 					if _, ok := streams[i].(trace.ChunkStream); ok {

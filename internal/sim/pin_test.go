@@ -56,7 +56,7 @@ func TestResultPins(t *testing.T) {
 	}
 	program := func(build func(*rand.Rand, int) [][]mem.Access, seed int64) func(int) []trace.Stream {
 		return func(cores int) []trace.Stream {
-			return sliceStreams(build(rand.New(rand.NewSource(seed)), cores))
+			return trace.FromSlices(build(rand.New(rand.NewSource(seed)), cores))
 		}
 	}
 	random := program(buildRandomProgram, 11)
