@@ -447,7 +447,7 @@ func buildBarrierHeavyProgram(rng *rand.Rand, cores int) [][]mem.Access {
 }
 
 // engineProtocols are the protocol configurations that
-// TestConcurrentSimulatorsMatchReference and TestNextOnlyStreamsMatchChunked
+// TestEngineShardedVsGeneric and TestNextOnlyStreamsMatchChunked
 // replay; TestEngineProtocolsCoverEveryKind checks they name every
 // registered kind.
 var engineProtocols = []struct {
@@ -474,14 +474,14 @@ var programShapes = []struct {
 	{"barrier-heavy", buildBarrierHeavyProgram},
 }
 
-// TestConcurrentSimulatorsMatchReference pins where simulation work is spread across
+// TestEngineShardedVsGeneric pins where simulation work is spread across
 // goroutines now that one simulation is never split into shards: only
 // whole, independent simulators run side by side (the experiment layer's
 // runJobs). For every protocol, geometry and workload shape, simulators
 // replaying the same program concurrently must each reproduce a
 // reference-core run (newReference) bit for bit. Run with -race in CI, this
 // is also the proof that independent simulators share no mutable state.
-func TestConcurrentSimulatorsMatchReference(t *testing.T) {
+func TestEngineShardedVsGeneric(t *testing.T) {
 	geometries := []struct {
 		name string
 		mut  func(*Config)
@@ -539,7 +539,7 @@ func TestConcurrentSimulatorsMatchReference(t *testing.T) {
 }
 
 // TestEngineProtocolsCoverEveryKind pins that every registered protocol is
-// named in engineProtocols, so TestConcurrentSimulatorsMatchReference and
+// named in engineProtocols, so TestEngineShardedVsGeneric and
 // TestNextOnlyStreamsMatchChunked replay it.
 func TestEngineProtocolsCoverEveryKind(t *testing.T) {
 	covered := map[ProtocolKind]bool{}
@@ -550,7 +550,7 @@ func TestEngineProtocolsCoverEveryKind(t *testing.T) {
 	}
 	for _, kind := range ProtocolKinds() {
 		if !covered[kind] {
-			t.Errorf("%s is missing from TestConcurrentSimulatorsMatchReference's protocol table", kind)
+			t.Errorf("%s is missing from TestEngineShardedVsGeneric's protocol table", kind)
 		}
 	}
 }
