@@ -72,17 +72,15 @@ func record(args []string) {
 	fmt.Println()
 }
 
-func load(path string) [][]mem.Access {
-	f, err := os.Open(path)
+// open indexes a trace file for streaming: info and replay decode each
+// core's section in chunks, so memory stays bounded by one chunk per core
+// rather than the whole trace.
+func open(path string) *trace.SpilledCorpus {
+	sc, err := trace.OpenSpilledCorpus(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	accs, err := trace.ReadFile(f)
-	if err != nil {
-		fatal(err)
-	}
-	return accs
+	return sc
 }
 
 func info(args []string) {
@@ -91,16 +89,17 @@ func info(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	accs := load(fs.Arg(0))
+	sc := open(fs.Arg(0))
 
-	t := report.NewTable(fmt.Sprintf("%s: %d cores", fs.Arg(0), len(accs)),
+	t := report.NewTable(fmt.Sprintf("%s: %d cores", fs.Arg(0), sc.Cores()),
 		"core", "reads", "writes", "barriers", "locks", "compute-cycles", "footprint-lines")
 	var tr, tw, tb, tl, tc uint64
 	global := map[mem.Addr]struct{}{}
-	for c, stream := range accs {
+	for c := 0; c < sc.Cores(); c++ {
 		var r, w, b, l, comp uint64
 		lines := map[mem.Addr]struct{}{}
-		for _, a := range stream {
+		stream := sc.Stream(c)
+		for a, ok := stream.Next(); ok; a, ok = stream.Next() {
 			comp += uint64(a.Gap)
 			switch a.Kind {
 			case mem.Read:
@@ -117,6 +116,7 @@ func info(args []string) {
 				l++
 			}
 		}
+		stream.Close()
 		t.AddRowValues(c, r, w, b, l, comp, len(lines))
 		tr, tw, tb, tl, tc = tr+r, tw+w, tb+b, tl+l, tc+comp
 	}
@@ -136,10 +136,10 @@ func replay(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	accs := load(fs.Arg(0))
+	sc := open(fs.Arg(0))
 
 	cfg := lacc.DefaultConfig()
-	cfg.Cores = len(accs)
+	cfg.Cores = sc.Cores()
 	cfg.MeshWidth = autoWidth(cfg.Cores, *meshWidth)
 	if cfg.MemControllers > cfg.Cores {
 		cfg.MemControllers = cfg.Cores
@@ -148,7 +148,7 @@ func replay(args []string) {
 	cfg.Protocol.PCT = *pct
 	cfg.ClassifierK = *classifier
 
-	res, err := lacc.Run(cfg, trace.FromSlices(accs))
+	res, err := lacc.Run(cfg, sc.Streams())
 	if err != nil {
 		fatal(err)
 	}

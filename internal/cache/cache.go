@@ -72,13 +72,14 @@ type Cache struct {
 	// left dirty and re-initialized way by way as lines are inserted.
 	tags []mem.Addr
 	// occ has one bit per set, raised by every insertion into the set and
-	// cleared only by Reset: a clear bit proves the set's tags are all
-	// free. Whole-cache walks (Reset, ForEach, CountValid) visit only the
-	// flagged sets, so they cost what the cache has held since the last
-	// Reset rather than its capacity — the difference between a few lines
-	// and a 256 KB L2 slice for the model checker, which resets and audits
-	// the machine once per explored transition. Invalidate leaves the bit
-	// up; a flagged set with no held line is merely rescanned.
+	// cleared only by Reset (CopyFrom takes the source's bits): a clear
+	// bit proves the set's tags are all free. Whole-cache walks (Reset,
+	// CopyFrom, ForEach, CountValid) visit only the flagged sets, so they
+	// cost what the cache has held since the last Reset rather than its
+	// capacity — the difference between a few lines and a 256 KB L2 slice
+	// for the model checker, which copies and audits the machine once per
+	// explored transition. Invalidate leaves the bit up; a flagged set
+	// with no held line is merely rescanned.
 	occ  []uint64
 	tick uint64
 
@@ -140,6 +141,33 @@ func (c *Cache) Reset() {
 	clear(c.occ)
 	c.tick = 0
 	c.Evictions = 0
+}
+
+// CopyFrom makes c an exact copy of src, which must have the same
+// geometry: tags, line records, occupancy bitmap, replacement clock and
+// eviction counter, so every later probe, insertion and victim choice on c
+// matches src's. Like Reset it walks only flagged sets: c's tags are
+// cleared, then src's are copied with the records of held lines (records
+// behind free ways are never read). Line pointers into either cache stay
+// pointers into that cache, so MRU hints taken on src must not be used on
+// c, and hints taken on c must be dropped, as after Reset.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.sets != src.sets || c.ways != src.ways {
+		panic(fmt.Sprintf("cache: CopyFrom of a %dx%d cache into a %dx%d one",
+			src.sets, src.ways, c.sets, c.ways))
+	}
+	c.flaggedSets(func(lo, hi int) { clear(c.tags[lo:hi]) })
+	src.flaggedSets(func(lo, hi int) {
+		copy(c.tags[lo:hi], src.tags[lo:hi])
+		for i := lo; i < hi; i++ {
+			if src.tags[i] != tagFree {
+				c.lines[i] = src.lines[i]
+			}
+		}
+	})
+	copy(c.occ, src.occ)
+	c.tick = src.tick
+	c.Evictions = src.Evictions
 }
 
 // Sets returns the number of sets.

@@ -18,6 +18,14 @@
 // that captures exactly the state the protocol's future behavior depends
 // on, so the reachable graph is finite and the search exhausts it.
 //
+// The search never undoes a transition. Each frontier state is reached
+// once, by forking a pristine machine (sim.Machine.CopyFrom) and replaying
+// the state's path, and is then forked again per action: a transition
+// costs one copy of the occupied machine state, one step, a snapshot, the
+// invariant checks, an audit and the encoding, whatever the length of the
+// path that led to it. A transition into an already-visited state
+// allocates nothing.
+//
 // A violation is reported with its interleaving and re-encoded as a
 // trace-format program (trace.go) whose replay through sim.Run executes
 // exactly that interleaving — every checker counterexample is
@@ -135,18 +143,103 @@ type finding struct {
 	probe  *Action
 }
 
-// runner holds the per-run exploration state.
+// runner holds the per-run exploration state. The search keeps three
+// machines: pristine stays in the initial state, base is brought to each
+// frontier state once (forked from pristine, then the state's path
+// replayed), and fork is copied from base and stepped once per action.
 type runner struct {
-	m       *sim.Machine
+	pristine, base, fork *sim.Machine
+
 	lines   []mem.Addr
 	actions []Action
 	cores   int
 	satCap  int // counter saturation bound for the canonical encoding
+
+	// snap and key are the snapshot and encoding buffers, reused by every
+	// explored transition.
+	snap []sim.LineSnapshot
+	key  []byte
 }
 
 // Run explores the bounded state graph and returns the report; a found
 // violation stops the search.
 func Run(opts Options) (*Report, error) {
+	cfg := opts.Config
+	maxDepth := opts.MaxDepth
+	if maxDepth <= 0 {
+		maxDepth = 12
+	}
+	maxStates := opts.MaxStates
+	if maxStates <= 0 {
+		maxStates = 1 << 18
+	}
+	r, err := newRunner(opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Protocol: r.pristine.Protocol()}
+
+	r.snap = r.pristine.Snapshot(r.snap[:0], r.lines)
+	if f := r.findViolation(r.snap); f != nil {
+		// The initial state cannot violate anything; a failure here is a
+		// checker bug, not a protocol bug.
+		return nil, fmt.Errorf("check: initial state invalid: %s", f.detail)
+	}
+	visited := map[string]struct{}{string(r.encode(r.snap)): {}}
+	queue := [][]uint8{nil}
+	for head := 0; head < len(queue); head++ {
+		path := queue[head]
+		if len(path) > rep.Depth {
+			rep.Depth = len(path)
+		}
+		if len(path) >= maxDepth {
+			rep.Truncated = true
+			continue
+		}
+		if err := r.reach(path); err != nil {
+			return nil, err
+		}
+		for ai := range r.actions {
+			if len(visited) >= maxStates {
+				rep.Truncated = true
+				rep.States = len(visited)
+				return rep, nil
+			}
+			fd, enc := r.explore(r.actions[ai])
+			rep.Transitions++
+			if fd != nil {
+				full := extend(path, ai)
+				v, verr := r.violation(cfg, opts.Faults, full, fd)
+				if verr != nil {
+					return nil, verr
+				}
+				rep.Violation = v
+				rep.States = len(visited)
+				if len(full) > rep.Depth {
+					rep.Depth = len(full)
+				}
+				return rep, nil
+			}
+			// Indexing with string(enc) does not allocate; only a new
+			// state pays for its key and its queued path.
+			if _, ok := visited[string(enc)]; !ok {
+				visited[string(enc)] = struct{}{}
+				queue = append(queue, extend(path, ai))
+			}
+		}
+	}
+	rep.States = len(visited)
+	return rep, nil
+}
+
+// extend returns a new path: path followed by action index ai.
+func extend(path []uint8, ai int) []uint8 {
+	return append(append(make([]uint8, 0, len(path)+1), path...), uint8(ai))
+}
+
+// newRunner validates opts and builds the search's machines and action
+// alphabet.
+func newRunner(opts Options) (*runner, error) {
 	cfg := opts.Config
 	if !cfg.CheckValues {
 		return nil, fmt.Errorf("check: CheckValues must be enabled (the data-value invariant reads the golden store)")
@@ -161,125 +254,72 @@ func Run(opts Options) (*Report, error) {
 	if len(lines) >= cfg.L1DWays {
 		return nil, fmt.Errorf("check: %d lines with %d-way L1-D caches risks capacity evictions, which the encoding does not model", len(lines), cfg.L1DWays)
 	}
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 12
+	r := &runner{lines: lines, cores: cfg.Cores}
+	for _, m := range []**sim.Machine{&r.pristine, &r.base, &r.fork} {
+		var err error
+		if *m, err = sim.NewMachineWithFaults(cfg, opts.Faults); err != nil {
+			return nil, err
+		}
 	}
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = 1 << 18
-	}
-
-	m, err := sim.NewMachineWithFaults(cfg, opts.Faults)
-	if err != nil {
-		return nil, err
-	}
-	var actions []Action
 	for c := 0; c < cfg.Cores; c++ {
 		for _, a := range lines {
 			la := mem.LineOf(a)
-			actions = append(actions,
+			r.actions = append(r.actions,
 				Action{Core: c, Kind: mem.Read, Addr: la},
 				Action{Core: c, Kind: mem.Write, Addr: la})
 		}
 	}
-	if len(actions) > 255 {
-		return nil, fmt.Errorf("check: alphabet of %d actions exceeds the path encoding", len(actions))
+	if len(r.actions) > 255 {
+		return nil, fmt.Errorf("check: alphabet of %d actions exceeds the path encoding", len(r.actions))
 	}
-	satCap := cfg.Protocol.RATMax
-	if cfg.Protocol.PCT > satCap {
-		satCap = cfg.Protocol.PCT
+	r.satCap = cfg.Protocol.RATMax
+	if cfg.Protocol.PCT > r.satCap {
+		r.satCap = cfg.Protocol.PCT
 	}
-	r := &runner{m: m, lines: lines, actions: actions, cores: cfg.Cores, satCap: satCap}
-	rep := &Report{Protocol: m.Protocol()}
-
-	snap := m.Snapshot(lines)
-	if f := r.findViolation(snap); f != nil {
-		// The initial state cannot violate anything; a failure here is a
-		// checker bug, not a protocol bug.
-		return nil, fmt.Errorf("check: initial state invalid: %s", f.detail)
-	}
-	visited := map[string]struct{}{r.encode(snap): {}}
-	queue := [][]uint8{nil}
-	for head := 0; head < len(queue); head++ {
-		path := queue[head]
-		if len(path) > rep.Depth {
-			rep.Depth = len(path)
-		}
-		if len(path) >= maxDepth {
-			rep.Truncated = true
-			continue
-		}
-		for ai := range actions {
-			if len(visited) >= maxStates {
-				rep.Truncated = true
-				rep.States = len(visited)
-				return rep, nil
-			}
-			full := append(append(make([]uint8, 0, len(path)+1), path...), uint8(ai))
-			fd, enc, err := r.explore(full)
-			if err != nil {
-				return nil, err
-			}
-			rep.Transitions++
-			if fd != nil {
-				v, verr := r.violation(cfg, opts.Faults, full, fd)
-				if verr != nil {
-					return nil, verr
-				}
-				rep.Violation = v
-				rep.States = len(visited)
-				if len(full) > rep.Depth {
-					rep.Depth = len(full)
-				}
-				return rep, nil
-			}
-			if _, ok := visited[enc]; !ok {
-				visited[enc] = struct{}{}
-				queue = append(queue, full)
-			}
-		}
-	}
-	rep.States = len(visited)
-	return rep, nil
+	return r, nil
 }
 
-// explore replays path on a reset machine and checks every invariant at
-// its final state. The returned encoding is empty when a finding is.
-// Only the last step may legitimately fail: every prefix was itself an
-// explored, violation-free state.
-func (r *runner) explore(path []uint8) (*finding, string, error) {
-	if err := r.m.Reset(); err != nil {
-		return nil, "", err
-	}
-	for i, ai := range path[:len(path)-1] {
-		if msg := r.step(r.actions[ai]); msg != "" {
-			return nil, "", fmt.Errorf("check: visited prefix re-panicked at step %d: %s", i, msg)
+// reach brings base to the end of path: a fork of the pristine machine,
+// then the path replayed. Every step of a queued path was explored clean,
+// so none may panic now.
+func (r *runner) reach(path []uint8) error {
+	r.base.CopyFrom(r.pristine)
+	for i, ai := range path {
+		if msg := step(r.base, r.actions[ai]); msg != "" {
+			return fmt.Errorf("check: visited prefix re-panicked at step %d: %s", i, msg)
 		}
 	}
-	if msg := r.step(r.actions[path[len(path)-1]]); msg != "" {
-		return &finding{kind: "panic", detail: msg}, "", nil
+	return nil
+}
+
+// explore takes one transition from base's state: it forks base, steps a
+// on the fork and checks every invariant at the result. The returned
+// encoding aliases the runner's buffer and is nil when a finding is not.
+func (r *runner) explore(a Action) (*finding, []byte) {
+	r.fork.CopyFrom(r.base)
+	if msg := step(r.fork, a); msg != "" {
+		return &finding{kind: "panic", detail: msg}, nil
 	}
-	snap := r.m.Snapshot(r.lines)
-	if fd := r.findViolation(snap); fd != nil {
-		return fd, "", nil
+	r.snap = r.fork.Snapshot(r.snap[:0], r.lines)
+	if fd := r.findViolation(r.snap); fd != nil {
+		return fd, nil
 	}
-	if err := r.m.Audit(); err != nil {
-		return &finding{kind: "audit", detail: err.Error()}, "", nil
+	if err := r.fork.Audit(); err != nil {
+		return &finding{kind: "audit", detail: err.Error()}, nil
 	}
-	return nil, r.encode(snap), nil
+	return nil, r.encode(r.snap)
 }
 
 // step executes one access, converting a simulator panic (checkVersion,
 // protocol-state assertions) into a finding instead of crashing the
 // search.
-func (r *runner) step(a Action) (panicMsg string) {
+func step(m *sim.Machine, a Action) (panicMsg string) {
 	defer func() {
 		if p := recover(); p != nil {
 			panicMsg = fmt.Sprint(p)
 		}
 	}()
-	r.m.Step(a.Core, a.Kind, a.Addr, 0)
+	m.Step(a.Core, a.Kind, a.Addr, 0)
 	return ""
 }
 

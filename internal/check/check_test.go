@@ -246,3 +246,45 @@ func TestRejectsTimestampConfig(t *testing.T) {
 		t.Fatal("UseTimestamp config accepted")
 	}
 }
+
+// TestExploreAllocs pins the allocations of one explored transition that
+// reaches an already-visited state: fork, step, snapshot, invariants,
+// audit, encoding and the visited lookup together allocate nothing. Only
+// a new state pays, for its visited key and its queued path.
+func TestExploreAllocs(t *testing.T) {
+	for _, kind := range []sim.ProtocolKind{sim.ProtocolAdaptive, sim.ProtocolMESI, sim.ProtocolHybrid} {
+		t.Run(string(kind), func(t *testing.T) {
+			r, err := newRunner(Options{Config: Bound(kind, 2, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// c0 W line0, c1 R line0, c1 W line1, c0 R line1: both lines
+			// shared or owned across cores, so each action runs a miss
+			// transaction, an upgrade or a hit.
+			if err := r.reach([]uint8{1, 4, 7, 2}); err != nil {
+				t.Fatal(err)
+			}
+			visited := map[string]struct{}{}
+			exploreAll := func() {
+				for _, a := range r.actions {
+					fd, enc := r.explore(a)
+					if fd != nil {
+						t.Fatalf("%v: %s: %s", a, fd.kind, fd.detail)
+					}
+					if _, ok := visited[string(enc)]; !ok {
+						visited[string(enc)] = struct{}{}
+					}
+				}
+			}
+			exploreAll()
+			n := len(visited)
+			allocs := testing.AllocsPerRun(20, exploreAll)
+			if len(visited) != n {
+				t.Fatalf("re-exploring the same state found %d new states", len(visited)-n)
+			}
+			if perTransition := allocs / float64(len(r.actions)); perTransition != 0 {
+				t.Fatalf("%.2f allocations per explored transition, want 0", perTransition)
+			}
+		})
+	}
+}

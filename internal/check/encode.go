@@ -36,8 +36,10 @@ import (
 	"lacc/internal/sim"
 )
 
-func (r *runner) encode(snap []sim.LineSnapshot) string {
-	b := make([]byte, 0, 64*len(snap))
+// encode writes snap's canonical encoding into the runner's key buffer
+// and returns it; the result is valid until the next encode.
+func (r *runner) encode(snap []sim.LineSnapshot) []byte {
+	b := r.key[:0]
 	for i := range snap {
 		ls := &snap[i]
 
@@ -106,7 +108,8 @@ func (r *runner) encode(snap []sim.LineSnapshot) string {
 				num(c.Version), byte(u), byte(u>>8))
 		}
 	}
-	return string(b)
+	r.key = b
+	return b
 }
 
 func bit(v bool) byte {

@@ -53,6 +53,41 @@ func Lookup(c Classifier, core int) *CoreState {
 	}
 }
 
+// Tracked is one tracked core's classification state, as AppendTracked
+// reports it.
+type Tracked struct {
+	Core int
+	CoreState
+}
+
+// AppendTracked appends c's tracked cores, in the order ForEachTracked
+// visits them, to dst and returns the extended slice. The built-in
+// classifiers are walked directly, so no callback escapes and a caller
+// reusing dst allocates nothing.
+func AppendTracked(dst []Tracked, c Classifier) []Tracked {
+	switch c := c.(type) {
+	case *complete:
+		for i := range c.states {
+			dst = append(dst, Tracked{Core: i, CoreState: c.states[i]})
+		}
+	case *limited:
+		for i, id := range c.ids {
+			if id >= 0 {
+				dst = append(dst, Tracked{Core: int(id), CoreState: c.st[i]})
+			}
+		}
+	default:
+		// A separate variable keeps the closure's capture (and its heap
+		// cell) off the built-in paths.
+		out := dst
+		c.ForEachTracked(func(id int, st *CoreState) {
+			out = append(out, Tracked{Core: id, CoreState: *st})
+		})
+		return out
+	}
+	return dst
+}
+
 // complete tracks every core (Figure 6).
 type complete struct {
 	states []CoreState

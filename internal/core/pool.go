@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // ClassifierPool amortizes classifier allocation for the simulator's flat
 // directory: a directory entry is created per resident L2 line, and with
 // the map-based core every entry paid one to three heap allocations for its
@@ -66,6 +68,26 @@ func (p *ClassifierPool) Get() Classifier {
 func (p *ClassifierPool) Put(c Classifier) {
 	c.Reset()
 	p.free = append(p.free, c)
+}
+
+// Clone returns a classifier from the pool carrying src's exact state:
+// the tracked cores in their slot order, with their modes and counters.
+// src must have the pool's geometry. The clone shares no storage with
+// src, so the two evolve independently.
+func (p *ClassifierPool) Clone(src Classifier) Classifier {
+	dst := p.Get()
+	switch s := src.(type) {
+	case *complete:
+		copy(dst.(*complete).states, s.states)
+	case *limited:
+		d := dst.(*limited)
+		copy(d.ids, s.ids)
+		copy(d.st, s.st)
+		d.scratch = s.scratch
+	default:
+		panic(fmt.Sprintf("core: Clone of foreign classifier %T", src))
+	}
+	return dst
 }
 
 func (p *ClassifierPool) newComplete() *complete {

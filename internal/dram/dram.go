@@ -81,6 +81,16 @@ func (m *Model) Reset() {
 	m.Reads, m.Writes, m.BytesMoved, m.QueueCycles = 0, 0, 0, 0
 }
 
+// CopyFrom makes m an exact copy of src, which must have the same
+// configuration: every controller's next-free time and the counters.
+func (m *Model) CopyFrom(src *Model) {
+	if !m.Matches(src.cfg) {
+		panic("dram: CopyFrom between differently configured models")
+	}
+	copy(m.nextFree, src.nextFree)
+	m.Reads, m.Writes, m.BytesMoved, m.QueueCycles = src.Reads, src.Writes, src.BytesMoved, src.QueueCycles
+}
+
 // Matches reports whether the model was built for exactly cfg, so callers
 // can reuse it across runs.
 func (m *Model) Matches(cfg Config) bool {

@@ -13,8 +13,8 @@
 //     mem.LineKey) so real keys are never zero;
 //   - key and value share a slot, so a lookup touches one cache line;
 //   - no deletion (none of the backed stores ever remove entries);
-//   - an Occupancy bitmap makes Clear and ForEach cost what the table
-//     holds, not its capacity.
+//   - an Occupancy bitmap makes Clear, CopyFrom and ForEach cost what the
+//     table holds, not its capacity.
 package flatmap
 
 import "math/bits"
@@ -130,6 +130,22 @@ func (t *Table[V]) Clear() {
 	t.occ.ForEach(func(lo, hi int) { clear(t.slots[lo:hi]) })
 	t.occ.Reset()
 	t.live = 0
+}
+
+// CopyFrom makes t an exact copy of src: the same capacity, slot layout,
+// keys, values and occupancy bitmap, so every later lookup, insertion and
+// growth behaves on t as it would on src. It clears t's flagged blocks and
+// copies src's, so it costs what the two tables hold, not their capacity;
+// t reallocates only when src has grown to a different capacity.
+func (t *Table[V]) CopyFrom(src *Table[V]) {
+	if len(t.slots) != len(src.slots) {
+		t.alloc(len(src.slots))
+	} else {
+		t.Clear()
+	}
+	src.occ.ForEach(func(lo, hi int) { copy(t.slots[lo:hi], src.slots[lo:hi]) })
+	copy(t.occ, src.occ)
+	t.live = src.live
 }
 
 // ForEach visits every stored (key, value) pair in ascending slot order

@@ -74,6 +74,16 @@ func (m *Mesh) Reset() {
 	m.RouterFlits, m.LinkFlits, m.Messages = 0, 0, 0
 }
 
+// CopyFrom makes m an exact copy of src, which must have the same
+// geometry: every link's next-free time and the traffic counters.
+func (m *Mesh) CopyFrom(src *Mesh) {
+	if m.cfg != src.cfg {
+		panic(fmt.Sprintf("network: CopyFrom of a %+v mesh into a %+v one", src.cfg, m.cfg))
+	}
+	copy(m.linkFree, src.linkFree)
+	m.RouterFlits, m.LinkFlits, m.Messages = src.RouterFlits, src.LinkFlits, src.Messages
+}
+
 // Matches reports whether the mesh was built for exactly cfg (after New's
 // HopLatency defaulting), so callers can reuse it across runs.
 func (m *Mesh) Matches(cfg Config) bool {

@@ -99,6 +99,18 @@ func (p *Placement) Reset() {
 	p.PrivatePages, p.SharedPages, p.Reclassifications = 0, 0, 0
 }
 
+// CopyFrom makes p an exact copy of src, which must have the same
+// geometry: every page classification and the counters. The page table
+// copy costs what the two tables hold (flatmap.Table.CopyFrom).
+func (p *Placement) CopyFrom(src *Placement) {
+	if !p.Matches(src.tiles, src.meshW) {
+		panic(fmt.Sprintf("nuca: CopyFrom of a %d-tile placement into a %d-tile one", src.tiles, p.tiles))
+	}
+	p.pages.CopyFrom(src.pages)
+	p.recl = src.recl
+	p.PrivatePages, p.SharedPages, p.Reclassifications = src.PrivatePages, src.SharedPages, src.Reclassifications
+}
+
 // Matches reports whether the placement was built for this geometry.
 func (p *Placement) Matches(tiles, meshW int) bool {
 	return p.tiles == tiles && p.meshW == meshW

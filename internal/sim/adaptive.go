@@ -35,6 +35,13 @@ func init() {
 	})
 }
 
+// copyState implements Protocol: the replica drop in flight between
+// dirMiss and resolve.
+func (s *adaptiveProtocol) copyState(src Protocol) {
+	o := src.(*adaptiveProtocol)
+	s.replicaDropped, s.replicaUtil = o.replicaDropped, o.replicaUtil
+}
+
 // dirMiss implements Protocol: victim replication's prelude in front
 // of the shared miss scaffold. A read miss with a local replica never
 // leaves the tile; a write miss drops the local replica and carries the

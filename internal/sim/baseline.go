@@ -57,6 +57,10 @@ func (d *dirProtocol) Name() string { return string(d.kind) }
 // are already collected; protocols with private counters override it.
 func (d *dirProtocol) Finalize(r *Result) {}
 
+// copyState implements Protocol: the shared machinery keeps no state of
+// its own outside the Simulator. Protocols with private fields override it.
+func (d *dirProtocol) copyState(src Protocol) {}
+
 // dropped implements Protocol for the classifier-free protocols: the
 // directory charges one update per released copy, except on L2
 // back-invalidation, where the entry is discarded anyway.

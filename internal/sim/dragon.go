@@ -39,6 +39,9 @@ func init() {
 // Finalize implements Protocol.
 func (p *dragonProtocol) Finalize(r *Result) { r.UpdateWrites = p.updates }
 
+// copyState implements Protocol.
+func (p *dragonProtocol) copyState(src Protocol) { p.updates = src.(*dragonProtocol).updates }
+
 // resolve implements Protocol. Reads behave exactly like MESI; writes
 // never invalidate other copies: the update transaction commits the word
 // at the home L2 (the home copy stays current) and pushes it to every

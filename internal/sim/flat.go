@@ -24,6 +24,7 @@ import (
 	"math/bits"
 
 	"lacc/internal/coherence"
+	"lacc/internal/core"
 	"lacc/internal/flatmap"
 	"lacc/internal/mem"
 )
@@ -242,6 +243,47 @@ func (d *dirTable) reshape(p int) {
 	}
 }
 
+// copyFrom makes d an exact copy of src, which must have the same pointer
+// count: capacity, slot layout, keys, occupancy bitmap and every live
+// entry. d's classifiers go back to pool first; each copied sharer set is
+// rebound to d's own arena and each classifier is cloned from pool, so
+// nothing d holds aliases src. Like clearAll it walks only flagged blocks:
+// d's are cleared, then src's are copied.
+func (d *dirTable) copyFrom(src *dirTable, pool *core.ClassifierPool) {
+	if d.p != src.p {
+		panic(fmt.Sprintf("sim: directory copy of %d-pointer entries into %d-pointer ones", src.p, d.p))
+	}
+	if pool != nil {
+		d.forEach(func(_ mem.Addr, e *dirEntry) {
+			if e.cls != nil {
+				pool.Put(e.cls)
+				e.cls = nil
+			}
+		})
+	}
+	if len(d.keys) != len(src.keys) {
+		d.alloc(len(src.keys))
+	} else {
+		d.clearAll()
+	}
+	src.occ.ForEach(func(lo, hi int) {
+		copy(d.keys[lo:hi], src.keys[lo:hi])
+		for i := lo; i < hi; i++ {
+			if key := src.keys[i]; key == dirKeyEmpty || key == dirKeyDead {
+				continue
+			}
+			e := &d.entries[i]
+			*e = src.entries[i]
+			e.sharers.Rebind(d.backing(uint64(i)))
+			if e.cls != nil {
+				e.cls = pool.Clone(e.cls)
+			}
+		}
+	})
+	copy(d.occ, src.occ)
+	d.live, d.dead = src.live, src.dead
+}
+
 // forEach visits every live entry in ascending slot order, skipping
 // blocks the occupancy bitmap proves empty.
 func (d *dirTable) forEach(fn func(la mem.Addr, e *dirEntry)) {
@@ -351,6 +393,15 @@ func (d *tileDir) clear() {
 	d.flat.clearAll()
 }
 
+// copyFrom makes d an exact copy of src (see dirTable.copyFrom). Only the
+// flat layout supports it.
+func (d *tileDir) copyFrom(src *tileDir, pool *core.ClassifierPool) {
+	if d.flat == nil || src.flat == nil {
+		panic("sim: copy of a reference-layout directory")
+	}
+	d.flat.copyFrom(src.flat, pool)
+}
+
 // reshape empties the directory and adopts a new per-entry pointer count,
 // reusing storage where the representation allows (see dirTable.reshape).
 func (d *tileDir) reshape(p int) {
@@ -409,6 +460,9 @@ func (h *histStore) clear() {
 	h.flat.Clear()
 }
 
+// copyFrom makes h an exact copy of src (flat layout only).
+func (h *histStore) copyFrom(src *histStore) { h.flat.CopyFrom(src.flat) }
+
 // verStore is a version-store handle: flat table or reference map.
 type verStore struct {
 	flat *flatmap.Table[uint64]
@@ -446,6 +500,9 @@ func (v *verStore) clear() {
 	}
 	v.flat.Clear()
 }
+
+// copyFrom makes v an exact copy of src (flat layout only).
+func (v *verStore) copyFrom(src *verStore) { v.flat.CopyFrom(src.flat) }
 
 // bump increments la's version and returns the new value.
 func (v *verStore) bump(la mem.Addr) uint64 {

@@ -39,6 +39,9 @@ func init() {
 	})
 }
 
+// copyState implements Protocol: the update counter it shares with Dragon.
+func (p *hybridProtocol) copyState(src Protocol) { p.updates = src.(*hybridProtocol).updates }
+
 // resolve implements Protocol. Reads behave exactly like MESI; a write
 // to a shared line fans out per sharer by classification: Dragon word
 // updates to private-mode sharers, invalidations to remote-mode sharers.

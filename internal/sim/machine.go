@@ -10,11 +10,19 @@ package sim
 // re-encoded as a trace whose replay through Run reproduces the violating
 // interleaving (see internal/check).
 //
+// CopyFrom forks a machine: it makes one machine an exact copy of another
+// built with the same Config, copying only the occupied cache
+// sets and table blocks (the occupancy bitmaps of internal/cache and
+// internal/flatmap), so a fork costs what the machine holds rather than
+// its capacity. The checker brings one machine to a frontier state and
+// forks it once per action instead of replaying every path from reset.
+//
 // Snapshot exposes the coherence-relevant machine state (golden/DRAM
 // versions, the home L2 line, the directory entry with its classifier,
 // and every private copy) through exported value types, so the checker
 // can canonicalize and hash states without reaching into simulator
-// internals.
+// internals. It appends into a caller-owned buffer and reuses the
+// buffer's storage, so a steady-state snapshot allocates nothing.
 
 import (
 	"cmp"
@@ -64,6 +72,9 @@ func NewWithFaults(cfg Config, f Faults) (*Simulator, error) {
 }
 
 // Machine wraps a Simulator for single-stepped, checker-driven execution.
+// A new Machine is in the initial state; CopyFrom moves it to any other
+// machine's state, so the checker keeps one pristine machine and forks the
+// rest from it instead of resetting.
 type Machine struct {
 	s *Simulator
 }
@@ -84,14 +95,53 @@ func NewMachineWithFaults(cfg Config, f Faults) (*Machine, error) {
 	return &Machine{s: s}, nil
 }
 
-// Reset restores the machine to its initial state (same configuration and
-// faults), bit-identical to a fresh NewMachineWithFaults.
-func (m *Machine) Reset() error {
-	if err := m.s.Reset(m.s.cfg); err != nil {
-		return err
+// CopyFrom makes m bit-identical to src, whatever state m was in before,
+// so that every later Step, Snapshot, Clock and Audit on m behaves as it
+// would on src. Both machines must have been built with the same Config;
+// src is not modified, and the two share no mutable storage afterwards.
+func (m *Machine) CopyFrom(src *Machine) { m.s.copyFrom(src.s) }
+
+// copyFrom is Machine.CopyFrom. It copies the caches (tags, lines, LRU
+// clock and counters), the directory tables (sharer sets rebound to s's
+// arenas, classifiers cloned into s's pool), the per-core contexts with
+// their history tables, the version stores, the R-NUCA page table, mesh
+// and DRAM timing, the meter, histograms and counters, and the protocol's
+// private fields. MRU hints are dropped: they point into src. A Machine
+// never runs streams, synchronization or the run queue, so the cores'
+// stream fields are nil on both sides, and locks, barrier state and the
+// run queue are empty and left alone.
+func (s *Simulator) copyFrom(src *Simulator) {
+	if s.reference || src.reference || s.cfg != src.cfg || len(s.cores) != len(src.cores) {
+		panic("sim: copy between simulators of different configurations")
 	}
-	m.s.initCores(nil)
-	return nil
+	s.faults = src.faults
+	s.mesh.CopyFrom(src.mesh)
+	s.dram.CopyFrom(src.dram)
+	s.nuca.CopyFrom(src.nuca)
+	s.golden.copyFrom(&src.golden)
+	s.dramVer.copyFrom(&src.dramVer)
+	for i := range s.tiles {
+		t, st := &s.tiles[i], &src.tiles[i]
+		t.l1i.CopyFrom(st.l1i)
+		t.l1d.CopyFrom(st.l1d)
+		t.l2.CopyFrom(st.l2)
+		t.dir.copyFrom(&st.dir, s.clsPool)
+	}
+	for i := range s.cores {
+		h := s.cores[i].history
+		h.copyFrom(&src.cores[i].history)
+		c := &s.cores[i]
+		*c = src.cores[i]
+		c.history = h
+		c.lastL1D, c.l2Hint, c.l2HintTile, c.dirHint = nil, nil, 0, dirSlotHint{}
+	}
+	s.meter = src.meter
+	s.invalHist, s.evictHist = src.invalHist, src.evictHist
+	s.promotions, s.demotions = src.promotions, src.demotions
+	s.wordReads, s.wordWrites = src.wordReads, src.wordWrites
+	s.invalidations, s.bcastInvals, s.selfInvals = src.invalidations, src.bcastInvals, src.selfInvals
+	s.replicaHits, s.replicaInserts, s.replicaEvictions = src.replicaHits, src.replicaInserts, src.replicaEvictions
+	s.proto.copyState(src.proto)
 }
 
 // Cores returns the configured core count.
@@ -156,16 +206,11 @@ type CopySnapshot struct {
 }
 
 // SharerClass is one tracked core's locality classification at a
-// directory entry (adaptive protocol only). The slice order in
+// directory entry (adaptive and hybrid only): the core and its mode,
+// remote utilization, RAT level and activity bit. The slice order in
 // DirSnapshot.Classifier is the classifier's internal slot order, which
 // is behaviorally significant for the Limited-k replacement policy.
-type SharerClass struct {
-	Core       int
-	Mode       core.Mode
-	RemoteUtil uint16
-	RATLevel   uint8
-	Active     bool
-}
+type SharerClass = core.Tracked
 
 // DirSnapshot is a line's directory entry at its home tile.
 type DirSnapshot struct {
@@ -203,81 +248,98 @@ type LineSnapshot struct {
 	L2     *L2Snapshot
 	Dir    *DirSnapshot
 	Copies []CopySnapshot // sorted by (core, state)
+
+	// l2 and dir back L2 and Dir, so a snapshot taken into a reused
+	// buffer allocates nothing.
+	l2  L2Snapshot
+	dir DirSnapshot
 }
 
-// Snapshot captures the coherence state of the given lines. It is a pure
-// read: every accessor it uses (version stores, cache probes, directory
-// probes, R-NUCA peeks) is side-effect free, so snapshotting never
-// perturbs the machine.
-func (m *Machine) Snapshot(lines []mem.Addr) []LineSnapshot {
-	s := m.s
-	out := make([]LineSnapshot, len(lines))
-	for i, a := range lines {
-		la := mem.LineOf(a)
-		ls := LineSnapshot{Addr: la, PageOwner: -1}
-		if s.cfg.CheckValues {
-			ls.Golden = s.golden.get(la)
-			ls.DRAM = s.dramVer.get(la)
+// Snapshot appends the coherence state of the given lines to dst and
+// returns the extended slice. Storage in dst's spare capacity (the
+// elements themselves and their Copies, Sharers and Classifier slices) is
+// reused, so a caller that snapshots into buf[:0] each time allocates only
+// while the buffer grows; the snapshot is valid until the next Snapshot
+// into the same storage. Snapshot is a pure read: every accessor it uses
+// (version stores, cache probes, directory probes, R-NUCA peeks) is
+// side-effect free, so snapshotting never perturbs the machine.
+func (m *Machine) Snapshot(dst []LineSnapshot, lines []mem.Addr) []LineSnapshot {
+	for _, a := range lines {
+		n := len(dst)
+		if n < cap(dst) {
+			dst = dst[:n+1]
+		} else {
+			dst = append(dst, LineSnapshot{})
 		}
-		if cls, known := s.nuca.ClassOf(la); known {
-			ls.PageKnown = true
-			ls.PageShared = cls == nuca.PageShared
-			if !ls.PageShared {
-				ls.PageOwner = s.nuca.PeekDataHome(la, -1)
-			}
-		}
-		for home := range s.tiles {
-			ht := &s.tiles[home]
-			if l2 := ht.l2.Probe(la); l2 != nil {
-				if l2.State == lineReplica {
-					ls.Copies = append(ls.Copies, CopySnapshot{
-						Core: home, State: CopyReplica,
-						Dirty: l2.Dirty, Version: l2.Version, Util: l2.Util,
-					})
-				} else {
-					ls.L2 = &L2Snapshot{Home: home, Version: l2.Version, Dirty: l2.Dirty}
-				}
-			}
-			if e := ht.dir.probe(la); e != nil {
-				d := &DirSnapshot{
-					Home:       home,
-					State:      e.state,
-					Owner:      int(e.owner),
-					Overflowed: e.sharers.Overflowed(),
-				}
-				ids := e.sharers.Identified()
-				d.Sharers = make([]int, len(ids))
-				for j, id := range ids {
-					d.Sharers[j] = int(id)
-				}
-				slices.Sort(d.Sharers)
-				d.Unknown = e.sharers.Count() - len(ids)
-				if e.cls != nil {
-					e.cls.ForEachTracked(func(id int, st *core.CoreState) {
-						d.Classifier = append(d.Classifier, SharerClass{
-							Core: id, Mode: st.Mode,
-							RemoteUtil: st.RemoteUtil, RATLevel: st.RATLevel,
-							Active: st.Active,
-						})
-					})
-				}
-				ls.Dir = d
-			}
-		}
-		for id := range s.tiles {
-			if l := s.tiles[id].l1d.Probe(la); l != nil {
-				ls.Copies = append(ls.Copies, CopySnapshot{
-					Core: id, State: CopyState(l.State),
-					Dirty: l.Dirty, Version: l.Version, Util: l.Util,
-				})
-			}
-		}
-		// (core, state) is unique per line, so any correct sort yields
-		// the same order.
-		slices.SortFunc(ls.Copies, func(x, y CopySnapshot) int {
-			return cmp.Or(cmp.Compare(x.Core, y.Core), cmp.Compare(x.State, y.State))
-		})
-		out[i] = ls
+		m.snapshotLine(&dst[n], mem.LineOf(a))
 	}
-	return out
+	return dst
+}
+
+// snapshotLine fills ls with line la's state, reusing ls's storage.
+func (m *Machine) snapshotLine(ls *LineSnapshot, la mem.Addr) {
+	s := m.s
+	*ls = LineSnapshot{
+		Addr: la, PageOwner: -1,
+		Copies: ls.Copies[:0],
+		dir: DirSnapshot{
+			Sharers:    ls.dir.Sharers[:0],
+			Classifier: ls.dir.Classifier[:0],
+		},
+	}
+	if s.cfg.CheckValues {
+		ls.Golden = s.golden.get(la)
+		ls.DRAM = s.dramVer.get(la)
+	}
+	if cls, known := s.nuca.ClassOf(la); known {
+		ls.PageKnown = true
+		ls.PageShared = cls == nuca.PageShared
+		if !ls.PageShared {
+			ls.PageOwner = s.nuca.PeekDataHome(la, -1)
+		}
+	}
+	for home := range s.tiles {
+		ht := &s.tiles[home]
+		if l2 := ht.l2.Probe(la); l2 != nil {
+			if l2.State == lineReplica {
+				ls.Copies = append(ls.Copies, CopySnapshot{
+					Core: home, State: CopyReplica,
+					Dirty: l2.Dirty, Version: l2.Version, Util: l2.Util,
+				})
+			} else {
+				ls.l2 = L2Snapshot{Home: home, Version: l2.Version, Dirty: l2.Dirty}
+				ls.L2 = &ls.l2
+			}
+		}
+		if e := ht.dir.probe(la); e != nil {
+			d := &ls.dir
+			d.Home = home
+			d.State = e.state
+			d.Owner = int(e.owner)
+			d.Overflowed = e.sharers.Overflowed()
+			ids := e.sharers.Identified()
+			for _, id := range ids {
+				d.Sharers = append(d.Sharers, int(id))
+			}
+			slices.Sort(d.Sharers)
+			d.Unknown = e.sharers.Count() - len(ids)
+			if e.cls != nil {
+				d.Classifier = core.AppendTracked(d.Classifier, e.cls)
+			}
+			ls.Dir = d
+		}
+	}
+	for id := range s.tiles {
+		if l := s.tiles[id].l1d.Probe(la); l != nil {
+			ls.Copies = append(ls.Copies, CopySnapshot{
+				Core: id, State: CopyState(l.State),
+				Dirty: l.Dirty, Version: l.Version, Util: l.Util,
+			})
+		}
+	}
+	// (core, state) is unique per line, so any correct sort yields the
+	// same order.
+	slices.SortFunc(ls.Copies, func(x, y CopySnapshot) int {
+		return cmp.Or(cmp.Compare(x.Core, y.Core), cmp.Compare(x.State, y.State))
+	})
 }

@@ -74,6 +74,9 @@ type Protocol interface {
 	// dropped is the directory's reaction when tile id's copy leaves for
 	// the given cause, util being the copy's utilization counter.
 	dropped(entry *dirEntry, id int, util uint32, why dropCause)
+	// copyState copies the protocol's private fields from src, the same
+	// kind of protocol bound to another simulator (Machine.CopyFrom).
+	copyState(src Protocol)
 }
 
 // ProtocolKind names a registered coherence protocol implementation.

@@ -312,6 +312,57 @@ func BuildSpilledCorpus(gens []GenFunc, path string) (_ *SpilledCorpus, err erro
 	return sc, nil
 }
 
+// OpenSpilledCorpus opens an existing trace file as a spilled corpus:
+// each core then replays through a decoder of its own, exactly as a corpus
+// built by BuildSpilledCorpus does, and the file is never loaded whole —
+// replay memory is one chunk buffer per core. Opening decodes the file
+// once to index each core's section, and rejects a malformed file with the
+// error ReadFile would return, so replay never meets a decode error.
+// Remove deletes the file; a caller keeping its trace must not call it.
+func OpenSpilledCorpus(path string) (*SpilledCorpus, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	cores, err := readHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	sc := &SpilledCorpus{
+		path:    path,
+		counts:  make([]uint64, cores),
+		offsets: make([]int64, cores),
+	}
+	for c := range sc.offsets {
+		pos, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return nil, err
+		}
+		sc.offsets[c] = pos - int64(br.Buffered())
+		dec, err := newStreamDecoder(br, c)
+		if err != nil {
+			return nil, err
+		}
+		for {
+			_, ok, err := dec.next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+		}
+		sc.counts[c] = dec.read
+		sc.total += dec.read
+	}
+	if err := expectEOF(br); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
 // sliceSink accumulates one core's accesses in a reusable slice.
 type sliceSink struct {
 	accs []mem.Access

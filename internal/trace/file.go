@@ -102,20 +102,9 @@ func (e *streamEncoder) record(a mem.Access) error {
 // ReadFile decodes a trace file into per-core access slices.
 func ReadFile(r io.Reader) ([][]mem.Access, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
-	}
-	cores, err := binary.ReadUvarint(br)
+	cores, err := readHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: core count: %v", ErrBadTrace, err)
-	}
-	const maxCores = 1 << 20
-	if cores > maxCores {
-		return nil, fmt.Errorf("%w: implausible core count %d", ErrBadTrace, cores)
+		return nil, err
 	}
 	out := make([][]mem.Access, cores)
 	for c := range out {
@@ -136,15 +125,43 @@ func ReadFile(r io.Reader) ([][]mem.Access, error) {
 		}
 		out[c] = accs
 	}
-	// A valid file is exactly header + cores stream sections: anything
-	// after the last stream is corruption (a truncated count elsewhere, a
-	// concatenated file, garbage) that silent acceptance would mask.
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("%w: trailing bytes after final stream", ErrBadTrace)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: after final stream: %v", ErrBadTrace, err)
+	if err := expectEOF(br); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// readHeader checks the magic and returns the core count.
+func readHeader(br *bufio.Reader) (uint64, error) {
+	magic := make([]byte, len(Magic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	}
+	if string(magic) != Magic {
+		return 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
+	}
+	cores, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("%w: core count: %v", ErrBadTrace, err)
+	}
+	const maxCores = 1 << 20
+	if cores > maxCores {
+		return 0, fmt.Errorf("%w: implausible core count %d", ErrBadTrace, cores)
+	}
+	return cores, nil
+}
+
+// expectEOF checks that br is exhausted. A valid file is exactly header +
+// cores stream sections: anything after the last stream is corruption (a
+// truncated count elsewhere, a concatenated file, garbage) that silent
+// acceptance would mask.
+func expectEOF(br *bufio.Reader) error {
+	if _, err := br.ReadByte(); err == nil {
+		return fmt.Errorf("%w: trailing bytes after final stream", ErrBadTrace)
+	} else if err != io.EOF {
+		return fmt.Errorf("%w: after final stream: %v", ErrBadTrace, err)
+	}
+	return nil
 }
 
 // streamDecoder decodes one core's record sequence from a trace file,

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,5 +197,59 @@ func TestFileCompression(t *testing.T) {
 	}
 	if perRec := float64(buf.Len()) / float64(len(accs)); perRec > 4 {
 		t.Errorf("sequential walk encodes at %.1f bytes/record, want <= 4", perRec)
+	}
+}
+
+// TestOpenSpilledCorpusMatchesReadFile: a trace file opened for streaming
+// replays every core's stream exactly as ReadFile decodes it, and a
+// malformed file fails to open with exactly ReadFile's error, so callers
+// switching from one to the other keep their output.
+func TestOpenSpilledCorpusMatchesReadFile(t *testing.T) {
+	var valid bytes.Buffer
+	if err := WriteFile(&valid, sampleStreams()); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"valid":         valid.Bytes(),
+		"empty":         nil,
+		"bad magic":     []byte("NOTMAGIC"),
+		"no stream":     []byte(Magic + "\x01"),
+		"bad kind":      []byte(Magic + "\x01\x01\x09"),
+		"truncated":     valid.Bytes()[:valid.Len()-2],
+		"trailing byte": append(append([]byte{}, valid.Bytes()...), 0),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.trace")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := ReadFile(bytes.NewReader(data))
+			sc, err := OpenSpilledCorpus(path)
+			if wantErr != nil || err != nil {
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("open error %v, ReadFile error %v", err, wantErr)
+				}
+				return
+			}
+			if sc.Cores() != len(want) {
+				t.Fatalf("%d cores, ReadFile %d", sc.Cores(), len(want))
+			}
+			for c, s := range sc.Streams() {
+				var got []mem.Access
+				for a, ok := s.Next(); ok; a, ok = s.Next() {
+					got = append(got, a)
+				}
+				s.Close()
+				if len(got) != len(want[c]) || sc.Accesses(c) != uint64(len(want[c])) {
+					t.Fatalf("core %d: %d accesses (indexed %d), ReadFile %d", c, len(got), sc.Accesses(c), len(want[c]))
+				}
+				for i := range got {
+					if got[i] != want[c][i] {
+						t.Fatalf("core %d access %d: %+v, ReadFile %+v", c, i, got[i], want[c][i])
+					}
+				}
+			}
+		})
 	}
 }
