@@ -146,18 +146,22 @@ func (c *Cache) Reset() {
 // CopyFrom makes c an exact copy of src, which must have the same
 // geometry: tags, line records, occupancy bitmap, replacement clock and
 // eviction counter, so every later probe, insertion and victim choice on c
-// matches src's. Like Reset it walks only flagged sets: c's tags are
-// cleared, then src's are copied with the records of held lines (records
-// behind free ways are never read). Line pointers into either cache stay
-// pointers into that cache, so MRU hints taken on src must not be used on
-// c, and hints taken on c must be dropped, as after Reset.
+// matches src's. Like Reset it walks only flagged sets: sets src has not
+// flagged hold only free tags, so one walk over the sets either cache
+// flags clears c's stale tags and copies src's, with the records of held
+// lines (records behind free ways are never read). Line pointers into
+// either cache stay pointers into that cache, so MRU hints taken on src
+// must not be used on c, and hints taken on c must be dropped, as after
+// Reset.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.sets != src.sets || c.ways != src.ways {
 		panic(fmt.Sprintf("cache: CopyFrom of a %dx%d cache into a %dx%d one",
 			src.sets, src.ways, c.sets, c.ways))
 	}
-	c.flaggedSets(func(lo, hi int) { clear(c.tags[lo:hi]) })
-	src.flaggedSets(func(lo, hi int) {
+	for w, bits := range src.occ {
+		c.occ[w] |= bits
+	}
+	c.flaggedSets(func(lo, hi int) {
 		copy(c.tags[lo:hi], src.tags[lo:hi])
 		for i := lo; i < hi; i++ {
 			if src.tags[i] != tagFree {

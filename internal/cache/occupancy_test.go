@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lacc/internal/mem"
@@ -91,5 +92,64 @@ func TestOccupancyMatchesFullScan(t *testing.T) {
 		if resets == 0 {
 			t.Fatalf("geometry %d: sequence never reset", gi)
 		}
+	}
+}
+
+// TestCopyFromExact: CopyFrom onto a cache that has run a sequence of its
+// own leaves it identical to the source in everything a later operation
+// reads — tags, held line records, occupancy bitmap, LRU clock and
+// eviction count — and the two then evolve identically.
+func TestCopyFromExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src, dst := New(32<<10, 4), New(32<<10, 4)
+	span := 3 * src.Sets() * src.Ways()
+	op := func(c *Cache, a mem.Addr, step int) (Line, bool) {
+		if rng.Intn(4) == 0 {
+			return c.Invalidate(a)
+		}
+		if l := c.Probe(a); l != nil {
+			c.Touch(l, mem.Cycle(step))
+			return *l, false
+		}
+		l, victim, evicted := c.Insert(a)
+		c.Touch(l, mem.Cycle(step))
+		return victim, evicted
+	}
+	same := func(round int) {
+		t.Helper()
+		if !slices.Equal(dst.tags, src.tags) || !slices.Equal(dst.occ, src.occ) ||
+			dst.tick != src.tick || dst.Evictions != src.Evictions {
+			t.Fatalf("round %d: tags, bitmap, clock or evictions differ after CopyFrom", round)
+		}
+		for i, tag := range src.tags {
+			if tag != tagFree && dst.lines[i] != src.lines[i] {
+				t.Fatalf("round %d: way %d holds %+v, source %+v", round, i, dst.lines[i], src.lines[i])
+			}
+		}
+	}
+	for round := 0; round < 40; round++ {
+		// Both run on their own; the destination touches a disjoint range,
+		// so it holds sets the source has never flagged.
+		for i := 0; i < 300; i++ {
+			op(src, mem.Addr(rng.Intn(span))*mem.LineBytes, i)
+			op(dst, mem.Addr(span+rng.Intn(span))*mem.LineBytes, i)
+		}
+		if round%10 == 9 {
+			src.Reset()
+		}
+		dst.CopyFrom(src)
+		same(round)
+		for i := 0; i < 100; i++ {
+			a := mem.Addr(rng.Intn(span)) * mem.LineBytes
+			seed := rng.Int63()
+			rng.Seed(seed)
+			vs, es := op(src, a, i)
+			rng.Seed(seed)
+			vd, ed := op(dst, a, i)
+			if vs != vd || es != ed {
+				t.Fatalf("round %d step %d: source evicted %v %+v, copy %v %+v", round, i, es, vs, ed, vd)
+			}
+		}
+		same(round)
 	}
 }

@@ -71,9 +71,10 @@ func (p *ClassifierPool) Put(c Classifier) {
 }
 
 // Clone returns a classifier from the pool carrying src's exact state:
-// the tracked cores in their slot order, with their modes and counters.
-// src must have the pool's geometry. The clone shares no storage with
-// src, so the two evolve independently.
+// the tracked cores in their slot order, with their modes and counters
+// (a Limited-k classifier's scratch entry is rewritten before every use,
+// so it is not state). src must have the pool's geometry. The clone shares
+// no storage with src, so the two evolve independently.
 func (p *ClassifierPool) Clone(src Classifier) Classifier {
 	dst := p.Get()
 	switch s := src.(type) {
@@ -83,7 +84,6 @@ func (p *ClassifierPool) Clone(src Classifier) Classifier {
 		d := dst.(*limited)
 		copy(d.ids, s.ids)
 		copy(d.st, s.st)
-		d.scratch = s.scratch
 	default:
 		panic(fmt.Sprintf("core: Clone of foreign classifier %T", src))
 	}

@@ -134,16 +134,17 @@ func (t *Table[V]) Clear() {
 
 // CopyFrom makes t an exact copy of src: the same capacity, slot layout,
 // keys, values and occupancy bitmap, so every later lookup, insertion and
-// growth behaves on t as it would on src. It clears t's flagged blocks and
-// copies src's, so it costs what the two tables hold, not their capacity;
-// t reallocates only when src has grown to a different capacity.
+// growth behaves on t as it would on src. Blocks src has not flagged hold
+// only empty slots, so one walk over the blocks either table flags both
+// clears t's stale blocks and copies src's: a copy costs what the two
+// tables hold, not their capacity. t reallocates only when src has grown
+// to a different capacity.
 func (t *Table[V]) CopyFrom(src *Table[V]) {
 	if len(t.slots) != len(src.slots) {
 		t.alloc(len(src.slots))
-	} else {
-		t.Clear()
 	}
-	src.occ.ForEach(func(lo, hi int) { copy(t.slots[lo:hi], src.slots[lo:hi]) })
+	t.occ.Union(src.occ)
+	t.occ.ForEach(func(lo, hi int) { copy(t.slots[lo:hi], src.slots[lo:hi]) })
 	copy(t.occ, src.occ)
 	t.live = src.live
 }
@@ -185,6 +186,13 @@ func (o Occupancy) Mark(i uint64) {
 
 // Reset lowers every bit.
 func (o Occupancy) Reset() { clear(o) }
+
+// Union raises every bit raised in src, a bitmap of the same length.
+func (o Occupancy) Union(src Occupancy) {
+	for w, bits := range src {
+		o[w] |= bits
+	}
+}
 
 // ForEach calls fn, in ascending order, with the slot span [lo, hi) of
 // every run of adjacent flagged blocks within one bitmap word, so a densely

@@ -2,6 +2,7 @@ package flatmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -126,5 +127,41 @@ func TestOccupancyMatchesFullScan(t *testing.T) {
 	}
 	if clears == 0 || len(table.slots) < 1<<12 {
 		t.Fatalf("sequence made %d clears and grew to %d slots", clears, len(table.slots))
+	}
+}
+
+// TestCopyFromExact: CopyFrom onto a table that holds keys of its own, at
+// the same capacity or another one, leaves it identical to the source —
+// every slot, the occupancy bitmap and the count — so later lookups,
+// insertions and growth behave the same on both.
+func TestCopyFromExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	src, dst := New[uint64](8), New[uint64](8)
+	fill := func(table *Table[uint64], lo, n int) {
+		for i := 0; i < n; i++ {
+			*table.Slot(uint64(lo + rng.Intn(1<<10))) = rng.Uint64()
+		}
+	}
+	for round := 0; round < 60; round++ {
+		// Varying fills make the source's capacity sometimes larger and
+		// sometimes smaller than the destination's.
+		if rng.Intn(4) == 0 {
+			src.Clear()
+		}
+		fill(src, 1, rng.Intn(400))
+		fill(dst, 1<<20, rng.Intn(400))
+		dst.CopyFrom(src)
+		if !slices.Equal(dst.slots, src.slots) || !slices.Equal(dst.occ, src.occ) || dst.Len() != src.Len() {
+			t.Fatalf("round %d: copy differs from source (%d/%d slots, %d/%d keys)",
+				round, len(dst.slots), len(src.slots), dst.Len(), src.Len())
+		}
+		for i := 0; i < 200; i++ {
+			k, v := uint64(1+rng.Intn(1<<11)), rng.Uint64()
+			*src.Slot(k) = v
+			*dst.Slot(k) = v
+		}
+		if !slices.Equal(dst.slots, src.slots) || !slices.Equal(dst.occ, src.occ) {
+			t.Fatalf("round %d: copy and source diverge under the same insertions", round)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lacc/internal/mem"
@@ -98,5 +99,54 @@ func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 	}
 	if grows < 2 || clears < 2 || removes == 0 {
 		t.Fatalf("sequence made %d grows, %d clears, %d removes", grows, clears, removes)
+	}
+}
+
+// TestDirTableCopyFrom: copyFrom onto a table that holds lines of its own
+// leaves it identical to the source — keys (tombstones included),
+// occupancy bitmap, counts and every live entry — with each sharer set
+// holding the same identities in the destination's own arena, so the two
+// tables then evolve independently.
+func TestDirTableCopyFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	src, dst := newDirTable(4), newDirTable(4)
+	churn := func(d *dirTable, base mem.Addr, n int) {
+		for i := 0; i < n; i++ {
+			la := base + mem.Addr(rng.Intn(1<<10))<<mem.LineShift
+			if d.probe(la) != nil {
+				d.remove(la)
+				continue
+			}
+			e := d.insert(la)
+			e.owner = int16(rng.Intn(64))
+			for c := 0; c < rng.Intn(4); c++ {
+				if id := rng.Intn(64); !e.sharers.Contains(id) {
+					e.sharers.Add(id)
+				}
+			}
+		}
+	}
+	for round := 0; round < 30; round++ {
+		churn(src, 0, rng.Intn(1500))
+		churn(dst, 1<<30, rng.Intn(1500))
+		dst.copyFrom(src, nil)
+		if !slices.Equal(dst.keys, src.keys) || !slices.Equal(dst.occ, src.occ) ||
+			dst.live != src.live || dst.dead != src.dead {
+			t.Fatalf("round %d: keys, bitmap or counts differ after copy", round)
+		}
+		src.forEach(func(la mem.Addr, se *dirEntry) {
+			de := dst.probe(la)
+			if de.owner != se.owner || !slices.Equal(de.sharers.Identified(), se.sharers.Identified()) {
+				t.Fatalf("round %d: %#x copied as %+v, source %+v", round, la, de, se)
+			}
+			// A write through the copy's identity list must not reach the
+			// source's arena.
+			if ids := de.sharers.Identified(); len(ids) > 0 {
+				ids[0] = -1
+				if se.sharers.Identified()[0] == -1 {
+					t.Fatalf("round %d: %#x sharers alias the source's arena", round, la)
+				}
+			}
+		})
 	}
 }

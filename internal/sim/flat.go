@@ -245,34 +245,33 @@ func (d *dirTable) reshape(p int) {
 
 // copyFrom makes d an exact copy of src, which must have the same pointer
 // count: capacity, slot layout, keys, occupancy bitmap and every live
-// entry. d's classifiers go back to pool first; each copied sharer set is
+// entry. d's live classifiers go back to pool, each copied sharer set is
 // rebound to d's own arena and each classifier is cloned from pool, so
-// nothing d holds aliases src. Like clearAll it walks only flagged blocks:
-// d's are cleared, then src's are copied.
+// nothing d holds aliases src. Blocks src has not flagged hold only empty
+// keys, so one walk over the blocks either table flags clears d's stale
+// keys and copies src's. When src has grown to another capacity, d's
+// arrays (and the classifiers of their entries) are dropped and
+// reallocated.
 func (d *dirTable) copyFrom(src *dirTable, pool *core.ClassifierPool) {
 	if d.p != src.p {
 		panic(fmt.Sprintf("sim: directory copy of %d-pointer entries into %d-pointer ones", src.p, d.p))
 	}
-	if pool != nil {
-		d.forEach(func(_ mem.Addr, e *dirEntry) {
-			if e.cls != nil {
+	if len(d.keys) != len(src.keys) {
+		d.alloc(len(src.keys))
+	}
+	d.occ.Union(src.occ)
+	d.occ.ForEach(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &d.entries[i]
+			if key := d.keys[i]; key != dirKeyEmpty && key != dirKeyDead && e.cls != nil {
 				pool.Put(e.cls)
 				e.cls = nil
 			}
-		})
-	}
-	if len(d.keys) != len(src.keys) {
-		d.alloc(len(src.keys))
-	} else {
-		d.clearAll()
-	}
-	src.occ.ForEach(func(lo, hi int) {
-		copy(d.keys[lo:hi], src.keys[lo:hi])
-		for i := lo; i < hi; i++ {
-			if key := src.keys[i]; key == dirKeyEmpty || key == dirKeyDead {
+			key := src.keys[i]
+			d.keys[i] = key
+			if key == dirKeyEmpty || key == dirKeyDead {
 				continue
 			}
-			e := &d.entries[i]
 			*e = src.entries[i]
 			e.sharers.Rebind(d.backing(uint64(i)))
 			if e.cls != nil {

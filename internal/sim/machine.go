@@ -11,11 +11,11 @@ package sim
 // interleaving (see internal/check).
 //
 // CopyFrom forks a machine: it makes one machine an exact copy of another
-// built with the same Config, copying only the occupied cache
-// sets and table blocks (the occupancy bitmaps of internal/cache and
-// internal/flatmap), so a fork costs what the machine holds rather than
-// its capacity. The checker brings one machine to a frontier state and
-// forks it once per action instead of replaying every path from reset.
+// built with the same Config, copying only the occupied cache sets and
+// table blocks (their occupancy bitmaps say which), so a fork costs what
+// the machine holds rather than its capacity. The checker brings one
+// machine to a frontier state and forks it once per action instead of
+// replaying every path from reset.
 //
 // Snapshot exposes the coherence-relevant machine state (golden/DRAM
 // versions, the home L2 line, the directory entry with its classifier,

@@ -425,9 +425,10 @@ func (sc *SpilledCorpus) release() {
 }
 
 // Stream returns a fresh replay view of core's on-disk sequence. The spill
-// file was written by this process; a decode or IO failure mid-replay
-// indicates an unusable environment (truncated disk, concurrent deletion)
-// and panics with context rather than silently ending the stream. Close
+// file was written by this process or validated whole when it was opened;
+// a decode or IO failure mid-replay indicates an unusable environment
+// (truncated disk, concurrent deletion or rewrite) and panics with context
+// rather than silently ending the stream. Close
 // the stream when done (the simulator does) so the shared descriptor can
 // be released after Remove.
 func (sc *SpilledCorpus) Stream(core int) Stream {
