@@ -146,7 +146,8 @@ type finding struct {
 // runner holds the per-run exploration state. The search keeps three
 // machines: pristine stays in the initial state, base is brought to each
 // frontier state once (forked from pristine, then the state's path
-// replayed), and fork is copied from base and stepped once per action.
+// replayed), and fork is copied from base and stepped for each action but
+// the last, which steps base itself.
 type runner struct {
 	pristine, base, fork *sim.Machine
 
@@ -205,7 +206,7 @@ func Run(opts Options) (*Report, error) {
 				rep.States = len(visited)
 				return rep, nil
 			}
-			fd, enc := r.explore(r.actions[ai])
+			fd, enc := r.explore(r.actions[ai], ai == len(r.actions)-1)
 			rep.Transitions++
 			if fd != nil {
 				full := extend(path, ai)
@@ -292,19 +293,25 @@ func (r *runner) reach(path []uint8) error {
 	return nil
 }
 
-// explore takes one transition from base's state: it forks base, steps a
-// on the fork and checks every invariant at the result. The returned
-// encoding aliases the runner's buffer and is nil when a finding is not.
-func (r *runner) explore(a Action) (*finding, []byte) {
-	r.fork.CopyFrom(r.base)
-	if msg := step(r.fork, a); msg != "" {
+// explore takes one transition from base's state: it steps a on a fork of
+// base and checks every invariant at the result. The state's last action
+// steps base itself, saving a copy: the next reach overwrites base anyway.
+// The returned encoding aliases the runner's buffer and is nil when a
+// finding is not.
+func (r *runner) explore(a Action, last bool) (*finding, []byte) {
+	m := r.base
+	if !last {
+		r.fork.CopyFrom(r.base)
+		m = r.fork
+	}
+	if msg := step(m, a); msg != "" {
 		return &finding{kind: "panic", detail: msg}, nil
 	}
-	r.snap = r.fork.Snapshot(r.snap[:0], r.lines)
+	r.snap = m.Snapshot(r.snap[:0], r.lines)
 	if fd := r.findViolation(r.snap); fd != nil {
 		return fd, nil
 	}
-	if err := r.fork.Audit(); err != nil {
+	if err := m.Audit(); err != nil {
 		return &finding{kind: "audit", detail: err.Error()}, nil
 	}
 	return nil, r.encode(r.snap)

@@ -267,7 +267,7 @@ func TestExploreAllocs(t *testing.T) {
 			visited := map[string]struct{}{}
 			exploreAll := func() {
 				for _, a := range r.actions {
-					fd, enc := r.explore(a)
+					fd, enc := r.explore(a, false)
 					if fd != nil {
 						t.Fatalf("%v: %s: %s", a, fd.kind, fd.detail)
 					}
