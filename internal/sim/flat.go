@@ -392,15 +392,6 @@ func (d *tileDir) clear() {
 	d.flat.clearAll()
 }
 
-// copyFrom makes d an exact copy of src (see dirTable.copyFrom). Only the
-// flat layout supports it.
-func (d *tileDir) copyFrom(src *tileDir, pool *core.ClassifierPool) {
-	if d.flat == nil || src.flat == nil {
-		panic("sim: copy of a reference-layout directory")
-	}
-	d.flat.copyFrom(src.flat, pool)
-}
-
 // reshape empties the directory and adopts a new per-entry pointer count,
 // reusing storage where the representation allows (see dirTable.reshape).
 func (d *tileDir) reshape(p int) {
@@ -459,9 +450,6 @@ func (h *histStore) clear() {
 	h.flat.Clear()
 }
 
-// copyFrom makes h an exact copy of src (flat layout only).
-func (h *histStore) copyFrom(src *histStore) { h.flat.CopyFrom(src.flat) }
-
 // verStore is a version-store handle: flat table or reference map.
 type verStore struct {
 	flat *flatmap.Table[uint64]
@@ -499,9 +487,6 @@ func (v *verStore) clear() {
 	}
 	v.flat.Clear()
 }
-
-// copyFrom makes v an exact copy of src (flat layout only).
-func (v *verStore) copyFrom(src *verStore) { v.flat.CopyFrom(src.flat) }
 
 // bump increments la's version and returns the new value.
 func (v *verStore) bump(la mem.Addr) uint64 {

@@ -111,26 +111,29 @@ func (m *Machine) CopyFrom(src *Machine) { m.s.copyFrom(src.s) }
 // stream fields are nil on both sides, and locks, barrier state and the
 // run queue are empty and left alone.
 func (s *Simulator) copyFrom(src *Simulator) {
-	if s.reference || src.reference || s.cfg != src.cfg || len(s.cores) != len(src.cores) {
+	if s.reference || src.reference {
+		panic("sim: copy of a reference-layout simulator")
+	}
+	if s.cfg != src.cfg || len(s.cores) != len(src.cores) {
 		panic("sim: copy between simulators of different configurations")
 	}
 	s.faults = src.faults
 	s.mesh.CopyFrom(src.mesh)
 	s.dram.CopyFrom(src.dram)
 	s.nuca.CopyFrom(src.nuca)
-	s.golden.copyFrom(&src.golden)
-	s.dramVer.copyFrom(&src.dramVer)
+	s.golden.flat.CopyFrom(src.golden.flat)
+	s.dramVer.flat.CopyFrom(src.dramVer.flat)
 	for i := range s.tiles {
 		t, st := &s.tiles[i], &src.tiles[i]
 		t.l1i.CopyFrom(st.l1i)
 		t.l1d.CopyFrom(st.l1d)
 		t.l2.CopyFrom(st.l2)
-		t.dir.copyFrom(&st.dir, s.clsPool)
+		t.dir.flat.copyFrom(st.dir.flat, s.clsPool)
 	}
 	for i := range s.cores {
-		h := s.cores[i].history
-		h.copyFrom(&src.cores[i].history)
 		c := &s.cores[i]
+		h := c.history
+		h.flat.CopyFrom(src.cores[i].history.flat)
 		*c = src.cores[i]
 		c.history = h
 		c.lastL1D, c.l2Hint, c.l2HintTile, c.dirHint = nil, nil, 0, dirSlotHint{}
