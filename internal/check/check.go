@@ -286,7 +286,7 @@ func newRunner(opts Options) (*runner, error) {
 func (r *runner) reach(path []uint8) error {
 	r.base.CopyFrom(r.pristine)
 	for i, ai := range path {
-		if msg := step(r.base, r.actions[ai]); msg != "" {
+		if msg := step(r.base, r.actions[ai], 0); msg != "" {
 			return fmt.Errorf("check: visited prefix re-panicked at step %d: %s", i, msg)
 		}
 	}
@@ -304,7 +304,7 @@ func (r *runner) explore(a Action, last bool) (*finding, []byte) {
 		r.fork.CopyFrom(r.base)
 		m = r.fork
 	}
-	if msg := step(m, a); msg != "" {
+	if msg := step(m, a, 0); msg != "" {
 		return &finding{kind: "panic", detail: msg}, nil
 	}
 	r.snap = m.Snapshot(r.snap[:0], r.lines)
@@ -317,16 +317,16 @@ func (r *runner) explore(a Action, last bool) (*finding, []byte) {
 	return nil, r.encode(r.snap)
 }
 
-// step executes one access, converting a simulator panic (checkVersion,
-// protocol-state assertions) into a finding instead of crashing the
-// search.
-func step(m *sim.Machine, a Action) (panicMsg string) {
+// step executes one access after gap compute cycles, converting a
+// simulator panic (checkVersion, protocol-state assertions) into its
+// message instead of crashing the search or the counterexample encoder.
+func step(m *sim.Machine, a Action, gap uint32) (panicMsg string) {
 	defer func() {
 		if p := recover(); p != nil {
 			panicMsg = fmt.Sprint(p)
 		}
 	}()
-	m.Step(a.Core, a.Kind, a.Addr, 0)
+	m.Step(a.Core, a.Kind, a.Addr, gap)
 	return ""
 }
 

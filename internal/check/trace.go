@@ -91,22 +91,13 @@ func Counterexample(cfg sim.Config, f sim.Faults, path []Action) ([][]mem.Access
 	}
 
 	streams := make([][]mem.Access, cores)
-	step := func(a Action, gap uint32) (panicMsg string) {
-		defer func() {
-			if p := recover(); p != nil {
-				panicMsg = fmt.Sprint(p)
-			}
-		}()
-		m.Step(a.Core, a.Kind, a.Addr, gap)
-		return ""
-	}
 	// target returns the key interval start of 0-based path index j.
 	target := func(j int) uint64 { return uint64(j+1) * stepSpacing }
 
 	// Padding reads, executed (and replayed) before every real step.
 	pad := func(c int, gap uint32) error {
 		streams[c] = append(streams[c], mem.Access{Kind: mem.Read, Addr: padAddr(c), Gap: gap})
-		if msg := step(Action{Core: c, Kind: mem.Read, Addr: padAddr(c)}, gap); msg != "" {
+		if msg := step(m, Action{Core: c, Kind: mem.Read, Addr: padAddr(c)}, gap); msg != "" {
 			return fmt.Errorf("check: padding access on core %d panicked: %s", c, msg)
 		}
 		return nil
@@ -152,7 +143,7 @@ func Counterexample(cfg sim.Config, f sim.Faults, path []Action) ([][]mem.Access
 			return nil, fmt.Errorf("check: step %d key %d outside its interval at %d", j, key, target(j))
 		}
 		streams[a.Core] = append(streams[a.Core], mem.Access{Kind: a.Kind, Addr: a.Addr})
-		if msg := step(a, 0); msg != "" {
+		if msg := step(m, a, 0); msg != "" {
 			if j != len(path)-1 {
 				return nil, fmt.Errorf("check: step %d panicked mid-path: %s", j, msg)
 			}

@@ -239,6 +239,7 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 		o.Progress(0, len(work))
 	}
 
+	var failed atomic.Bool
 	if len(work) > 0 {
 		workers := o.Parallelism
 		if workers > len(work) {
@@ -252,7 +253,6 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 			queue <- it
 		}
 		close(queue)
-		var failed atomic.Bool
 		var done atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
@@ -261,27 +261,8 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 				defer wg.Done()
 				worker := sess.getSim()
 				for it := range queue {
-					var fresh bool
-					if failed.Load() || ctx.Err() != nil {
-						it.entry.err = errAborted
-					} else {
-						fresh = o.resolve(sess, &worker, it.key, it.job, it.entry)
-					}
-					if it.entry.err != nil {
-						failed.Store(true)
-						// Unpin the key before publishing the failure, so
-						// any batch (this one retrying later, or a
-						// concurrent one waiting on an aborted entry) can
-						// re-claim and run it instead of inheriting the
-						// error.
-						sess.forget(it.key)
-					}
-					close(it.entry.ready)
-					// Write-behind after publication: waiters never block
-					// on the durable tier's I/O.
-					if fresh {
-						sess.storeResult(it.key, it.entry.res)
-					}
+					abort := failed.Load() || ctx.Err() != nil
+					o.settle(sess, &worker, it, abort, &failed)
 					if h := testJobDone; h != nil {
 						h()
 					}
@@ -324,16 +305,9 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 			ne, own := sess.claim(k)
 			if own {
 				worker := sess.getSim()
-				fresh := o.resolve(sess, &worker, k, j, ne)
-				if ne.err != nil {
-					sess.forget(k)
-				}
+				o.settle(sess, &worker, workItem{key: k, entry: ne, job: j}, false, &failed)
 				if worker != nil {
 					sess.putSim(worker)
-				}
-				close(ne.ready)
-				if fresh {
-					sess.storeResult(k, ne.res)
 				}
 				claimed[k] = true
 			}
@@ -370,6 +344,29 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// settle runs a claimed work item and publishes its entry, or with abort
+// marks it skipped. A failure sets failed and unpins the key before
+// publishing, so any batch (this one retrying later, or a concurrent one
+// waiting on an aborted entry) can re-claim and run it instead of
+// inheriting the error. A fresh result is written behind after
+// publication: waiters never block on the durable tier's I/O.
+func (o Options) settle(sess *Session, worker **sim.Simulator, it workItem, abort bool, failed *atomic.Bool) {
+	var fresh bool
+	if abort {
+		it.entry.err = errAborted
+	} else {
+		fresh = o.resolve(sess, worker, it.key, it.job, it.entry)
+	}
+	if it.entry.err != nil {
+		failed.Store(true)
+		sess.forget(it.key)
+	}
+	close(it.entry.ready)
+	if fresh {
+		sess.storeResult(it.key, it.entry.res)
+	}
 }
 
 // resolve computes the result for a fingerprint this goroutine owns (it

@@ -17,56 +17,18 @@ import (
 // carry the written word (Section 3.6), so a remote write commits at the
 // home without a line transfer.
 type adaptiveProtocol struct {
-	dirProtocol
-	// A write miss's own-replica drop, carried from the victim-replication
-	// prelude in dirMiss to resolve: the write request announces it at the
-	// home.
-	replicaDropped bool
-	replicaUtil    uint32
+	*dirProtocol
 }
 
-func init() {
-	RegisterProtocol(ProtocolAdaptive, func(s *Simulator) Protocol {
-		s.ensureClassifierPool()
-		p := &adaptiveProtocol{}
-		p.dirProtocol = dirProtocol{Simulator: s, pol: p, kind: ProtocolAdaptive,
-			wordRequests: true, classified: true}
-		return p
-	})
-}
-
-// copyState implements Protocol: the replica drop in flight between
-// dirMiss and resolve.
-func (s *adaptiveProtocol) copyState(src Protocol) {
-	o := src.(*adaptiveProtocol)
-	s.replicaDropped, s.replicaUtil = o.replicaDropped, o.replicaUtil
-}
-
-// dirMiss implements Protocol: victim replication's prelude in front
-// of the shared miss scaffold. A read miss with a local replica never
-// leaves the tile; a write miss drops the local replica and carries the
-// sharership release to the home inside the request.
-func (s *adaptiveProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool) {
-	if s.cfg.VictimReplication {
-		if kind == mem.Read && s.replicaRead(c, addr) {
-			return
-		}
-		if kind == mem.Write {
-			s.replicaUtil, s.replicaDropped = s.dropOwnReplica(c, mem.LineOf(addr))
-		}
-	}
-	s.dirProtocol.dirMiss(c, kind, addr, upgrade)
-}
-
-// resolve implements Protocol: per the locality classification, the
+// resolve implements policy: per the locality classification, the
 // requester either gets a private copy or performs a remote word access.
-func (s *adaptiveProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
+func (s adaptiveProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
 
 	if s.replicaDropped {
 		// The write request announced the requester's replica drop.
-		s.replicaDropped = false
 		s.dropSharershipAtHome(entry, c.id, s.replicaUtil)
+		s.replicaDropped, s.replicaUtil = false, 0
 	}
 
 	// Classifier inputs are computed before this access touches the line.
@@ -151,7 +113,7 @@ func (s *adaptiveProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Add
 // dropRequesterCopy invalidates the requester's own stale S copy when its
 // write is serviced as a remote word access, updating directory state and
 // classification exactly as a remote invalidation would.
-func (s *adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *dirEntry) {
+func (s adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *dirEntry) {
 	line, ok := s.tiles[c.id].l1d.Invalidate(la)
 	if !ok {
 		panic(fmt.Sprintf("sim: upgrade without an L1 copy at core %d line %#x", c.id, la))
@@ -167,11 +129,11 @@ func (s *adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *d
 	s.invalidations++
 }
 
-// dropped implements Protocol: every copy leaving its L1 applies the
+// dropped implements policy: every copy leaving its L1 applies the
 // PCT classification (Section 3.2) and counts demotions. Evictions —
 // including L2 back-invalidations — classify as evictions; write
 // invalidations and page migrations as invalidations.
-func (s *adaptiveProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
+func (s adaptiveProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
 	st := core.Lookup(entry.cls, id)
 	was := st.Mode
 	core.Classify(s.cfg.Protocol, st, util, why == dropEvict || why == dropBackInval)

@@ -10,13 +10,13 @@ import (
 	"lacc/internal/nuca"
 )
 
-// dirProtocol is the home-directory machinery every built-in protocol
-// embeds: the miss scaffold (dirMiss, protocol.go), the one line grant and
-// the home-side release path — owner fetch, invalidation over a sharer set
-// that may be overflowed, L1 eviction notifications, L2 back-invalidation
-// and R-NUCA page migration. The protocol itself is only a policy, reached
-// through pol: what the home decides for a request (resolve) and what
-// happens when a copy leaves (dropped).
+// dirProtocol is the directory machine every protocol runs on: the miss
+// transaction (dirMiss, protocol.go), the one line grant and the home-side
+// release path — owner fetch, invalidation over a sharer set that may be
+// overflowed, L1 eviction notifications, L2 back-invalidation and R-NUCA
+// page migration. A protocol is its capability flags, set by newProtocol,
+// and its policy, reached through pol: what the home decides for a request
+// (resolve) and what happens when a copy leaves (dropped).
 //
 // The sharer set is whatever dirPointersFor builds for the protocol:
 // ACKwise-p for adaptive, one pointer for Neat and a full map otherwise. A
@@ -26,8 +26,7 @@ import (
 // adaptive.
 type dirProtocol struct {
 	*Simulator
-	pol  Protocol
-	kind ProtocolKind
+	pol policy
 	// wordRequests: a write request carries the written word (header +
 	// word, 2 flits). Otherwise requests are address-only: the written
 	// data stays in the L1 until write-back.
@@ -37,9 +36,18 @@ type dirProtocol struct {
 	// noDirectory: the protocol keeps no directory state (DLS), so a miss
 	// reads the home L2 line only and no entry is ever allocated.
 	noDirectory bool
+	// selfInvalidate: a core reaching a synchronization point drops its
+	// Shared lines (Neat, syncSelfInvalidate in neat.go).
+	selfInvalidate bool
+
+	// A write miss's own-replica drop under victim replication, carried
+	// from dirMiss's prelude to adaptive's resolve, which clears it within
+	// the same transaction: the write request announces it at the home.
+	replicaDropped bool
+	replicaUtil    uint32
 }
 
-// dropCause says why a private copy left its holder, for the protocol's
+// dropCause says why a private copy left its holder, for the policy's
 // dropped hook.
 type dropCause uint8
 
@@ -50,20 +58,9 @@ const (
 	dropPageMove                   // an R-NUCA page migration invalidated it
 )
 
-// Name implements Protocol.
-func (d *dirProtocol) Name() string { return string(d.kind) }
-
-// Finalize implements Protocol. Protocol counters live on the Simulator and
-// are already collected; protocols with private counters override it.
-func (d *dirProtocol) Finalize(r *Result) {}
-
-// copyState implements Protocol: the shared machinery keeps no state of
-// its own outside the Simulator. Protocols with private fields override it.
-func (d *dirProtocol) copyState(src Protocol) {}
-
-// dropped implements Protocol for the classifier-free protocols: the
-// directory charges one update per released copy, except on L2
-// back-invalidation, where the entry is discarded anyway.
+// dropped is the classifier-free protocols' policy: the directory charges
+// one update per released copy, except on L2 back-invalidation, where the
+// entry is discarded anyway.
 func (d *dirProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
 	if why != dropBackInval {
 		d.meter.DirUpdates++
@@ -85,15 +82,6 @@ func (d *dirProtocol) initDirEntry(e *dirEntry) {
 		e.cls = core.NewClassifier(d.cfg.Cores, d.cfg.ClassifierK)
 	} else {
 		e.cls = d.clsPool.Get()
-	}
-}
-
-// ensureClassifierPool builds the classifier pool a classifying protocol
-// draws from. Simulator.Reset keeps a shape-compatible pool (with its slabs
-// and reclaimed classifiers) across runs; build one only when absent.
-func (s *Simulator) ensureClassifierPool() {
-	if s.clsPool == nil || !s.clsPool.Matches(s.cfg.Cores, s.cfg.ClassifierK) {
-		s.clsPool = core.NewClassifierPool(s.cfg.Cores, s.cfg.ClassifierK)
 	}
 }
 

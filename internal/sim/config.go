@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"lacc/internal/core"
 	"lacc/internal/energy"
@@ -45,13 +46,13 @@ type Config struct {
 	// HopLatency is the mesh per-hop latency (Table 1: 2 cycles).
 	HopLatency int
 
-	// ProtocolKind selects the coherence protocol implementation from the
-	// registry: ProtocolAdaptive (the paper's locality-aware protocol,
-	// also the empty-string default), ProtocolMESI (full-map MESI
-	// directory baseline), ProtocolDragon (write-update baseline),
-	// ProtocolDLS (directoryless shared-LLC remote access),
-	// ProtocolNeat (single-pointer directory with self-invalidation) or
-	// ProtocolHybrid (per-line MESI/Dragon switching).
+	// ProtocolKind selects the coherence protocol: ProtocolAdaptive (the
+	// paper's locality-aware protocol, also the empty-string default),
+	// ProtocolMESI (full-map MESI directory baseline), ProtocolDragon
+	// (write-update baseline), ProtocolDLS (directoryless shared-LLC
+	// remote access), ProtocolNeat (single-pointer directory with
+	// self-invalidation) or ProtocolHybrid (per-line MESI/Dragon
+	// switching).
 	ProtocolKind ProtocolKind
 
 	// Protocol holds the locality-aware protocol parameters; ClassifierK
@@ -183,7 +184,7 @@ func (c Config) Validate() error {
 	if c.Cores > MaxCores {
 		return &LimitError{Field: "Cores", Value: c.Cores, Max: MaxCores}
 	}
-	if _, ok := protocolFactories[c.protocolKind()]; !ok {
+	if !slices.Contains(ProtocolKinds(), c.protocolKind()) {
 		return fmt.Errorf("sim: unknown protocol %q (registered: %v)", c.ProtocolKind, ProtocolKinds())
 	}
 	if c.VictimReplication && c.protocolKind() != ProtocolAdaptive {

@@ -22,22 +22,13 @@ import (
 // entries, so the shared L2 eviction and page-move walks reduce to pure
 // write-backs with no back-invalidation fan-out.
 type dlsProtocol struct {
-	dirProtocol
+	*dirProtocol
 }
 
-func init() {
-	RegisterProtocol(ProtocolDLS, func(s *Simulator) Protocol {
-		p := &dlsProtocol{}
-		p.dirProtocol = dirProtocol{Simulator: s, pol: p, kind: ProtocolDLS,
-			wordRequests: true, noDirectory: true}
-		return p
-	})
-}
-
-// resolve implements Protocol: the word-granular access at the home L2
+// resolve implements policy: the word-granular access at the home L2
 // slice, which reads the word or commits the written word in place. No
 // directory entry exists and none is created.
-func (p *dlsProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
+func (p dlsProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
 
 	replyFlits := 1

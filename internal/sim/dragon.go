@@ -24,29 +24,14 @@ import (
 // directory uses the shared full-map vector (updates need exact sharer
 // identities). The written word travels with the request (header + word).
 type dragonProtocol struct {
-	dirProtocol
-	updates uint64 // per-sharer word updates pushed
+	*dirProtocol
 }
 
-func init() {
-	RegisterProtocol(ProtocolDragon, func(s *Simulator) Protocol {
-		p := &dragonProtocol{}
-		p.dirProtocol = dirProtocol{Simulator: s, pol: p, kind: ProtocolDragon, wordRequests: true}
-		return p
-	})
-}
-
-// Finalize implements Protocol.
-func (p *dragonProtocol) Finalize(r *Result) { r.UpdateWrites = p.updates }
-
-// copyState implements Protocol.
-func (p *dragonProtocol) copyState(src Protocol) { p.updates = src.(*dragonProtocol).updates }
-
-// resolve implements Protocol. Reads behave exactly like MESI; writes
+// resolve implements policy. Reads behave exactly like MESI; writes
 // never invalidate other copies: the update transaction commits the word
 // at the home L2 (the home copy stays current) and pushes it to every
 // other sharer's L1 copy.
-func (p *dragonProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
+func (p dragonProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
 
 	if kind == mem.Read {
@@ -76,7 +61,7 @@ func (p *dragonProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr,
 // Sm -> M when the update would reach nobody) — takes the line Modified
 // and writes locally from now on. It returns the time the fan-out may
 // start and, when done, the time the grant reaches the requester.
-func (p *dragonProtocol) writeHead(c *coreState, la mem.Addr, home int, entry *dirEntry,
+func (p dragonProtocol) writeHead(c *coreState, la mem.Addr, home int, entry *dirEntry,
 	l2line *cache.Line, upgrade bool, t mem.Cycle) (tFan, tEnd mem.Cycle, done bool) {
 
 	tFan = p.fetchOwnerForRead(home, la, entry, l2line, t)
@@ -89,7 +74,7 @@ func (p *dragonProtocol) writeHead(c *coreState, la mem.Addr, home int, entry *d
 // pushUpdate pushes the written word to sharer id's L1 copy (header +
 // word) and returns when the acknowledgement reaches home, with the
 // updated copy.
-func (p *dragonProtocol) pushUpdate(home int, la mem.Addr, id int, ver uint64, t mem.Cycle) (mem.Cycle, *cache.Line) {
+func (p dragonProtocol) pushUpdate(home int, la mem.Addr, id int, ver uint64, t mem.Cycle) (mem.Cycle, *cache.Line) {
 	tU := p.mesh.Unicast(home, id, 2, t)
 	tU += mem.Cycle(p.cfg.L1DLatency)
 	ol := p.tiles[id].l1d.Probe(la)
@@ -111,7 +96,7 @@ func (p *dragonProtocol) pushUpdate(home int, la mem.Addr, id int, ver uint64, t
 // clean) and the requester either absorbs it into its own S copy, acked
 // with a single flit, or — on a write miss — joins the sharers with a
 // line fill carrying the committed word.
-func (p *dragonProtocol) commitUpdate(c *coreState, la mem.Addr, home int, entry *dirEntry,
+func (p dragonProtocol) commitUpdate(c *coreState, la mem.Addr, home int, entry *dirEntry,
 	l2line *cache.Line, ver uint64, upgrade bool, t mem.Cycle) mem.Cycle {
 
 	l2line.Version = ver

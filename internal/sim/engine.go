@@ -74,22 +74,13 @@ func (s *Simulator) retireTop(c *coreState) error {
 	return s.maybeReleaseBarrier()
 }
 
-// syncSelfInvalidator is implemented by protocols that react to a core
-// reaching a synchronization point (barrier arrival or lock acquisition)
-// by shedding cached state — Neat's self-invalidation. The hook runs
-// before the synchronization primitive, so the reaction is ordered at the
-// core's arrival time.
-type syncSelfInvalidator interface {
-	syncSelfInvalidate(c *coreState)
-}
-
 // syncOp executes a non-data operation for the heap-root core, parking,
-// granting or releasing cores in the run queue.
+// granting or releasing cores in the run queue. Under a self-invalidating
+// protocol (Neat) a core reaching a barrier or acquiring a lock first
+// sheds its Shared lines, so the reaction is ordered at its arrival time.
 func (s *Simulator) syncOp(c *coreState, a mem.Access) error {
-	if a.Kind == mem.Barrier || a.Kind == mem.Lock {
-		if si, ok := s.proto.(syncSelfInvalidator); ok {
-			si.syncSelfInvalidate(c)
-		}
+	if s.proto.selfInvalidate && (a.Kind == mem.Barrier || a.Kind == mem.Lock) {
+		s.proto.syncSelfInvalidate(c)
 	}
 	switch a.Kind {
 	case mem.Barrier:

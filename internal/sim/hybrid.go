@@ -29,25 +29,12 @@ type hybridProtocol struct {
 	dragonProtocol
 }
 
-func init() {
-	RegisterProtocol(ProtocolHybrid, func(s *Simulator) Protocol {
-		s.ensureClassifierPool()
-		p := &hybridProtocol{}
-		p.dirProtocol = dirProtocol{Simulator: s, pol: p, kind: ProtocolHybrid,
-			wordRequests: true, classified: true}
-		return p
-	})
-}
-
-// copyState implements Protocol: the update counter it shares with Dragon.
-func (p *hybridProtocol) copyState(src Protocol) { p.updates = src.(*hybridProtocol).updates }
-
-// resolve implements Protocol. Reads behave exactly like MESI; a write
+// resolve implements policy. Reads behave exactly like MESI; a write
 // to a shared line fans out per sharer by classification: Dragon word
 // updates to private-mode sharers, invalidations to remote-mode sharers.
 // If no update reaches anybody the transaction degenerates to MESI and the
 // requester takes the line Modified.
-func (p *hybridProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
+func (p hybridProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
 
 	if kind == mem.Read {
@@ -65,7 +52,7 @@ func (p *hybridProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr,
 // version advances exactly once per write: on the first update push when
 // the write stays an update transaction, or at the Modified grant when it
 // degenerates to MESI.
-func (p *hybridProtocol) write(c *coreState, la mem.Addr, home int, entry *dirEntry,
+func (p hybridProtocol) write(c *coreState, la mem.Addr, home int, entry *dirEntry,
 	l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle) {
 
 	tFan, tEnd, done := p.writeHead(c, la, home, entry, l2line, upgrade, t)
@@ -116,12 +103,12 @@ func (p *hybridProtocol) write(c *coreState, la mem.Addr, home int, entry *dirEn
 	return p.grantLine(c, mem.Write, la, home, entry, l2line, upgrade, latest), latest - t
 }
 
-// dropped implements Protocol: a copy leaving through a write
+// dropped implements policy: a copy leaving through a write
 // invalidation or the holder's eviction reclassifies the core on its
 // observed utilization. Page migration only charges the directory update,
 // and L2 back-invalidation neither (the entry is discarded) — the
 // full-map behaviour hybrid inherits.
-func (p *hybridProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
+func (p hybridProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
 	switch why {
 	case dropWrite, dropEvict:
 		p.classify(entry, id, util, why == dropEvict)
@@ -132,7 +119,7 @@ func (p *hybridProtocol) dropped(entry *dirEntry, id int, util uint32, why dropC
 
 // classify applies the PCT classification to one core's observed
 // utilization and counts mode transitions in both directions.
-func (p *hybridProtocol) classify(entry *dirEntry, id int, util uint32, eviction bool) {
+func (p hybridProtocol) classify(entry *dirEntry, id int, util uint32, eviction bool) {
 	st := core.Lookup(entry.cls, id)
 	was := st.Mode
 	core.Classify(p.cfg.Protocol, st, util, eviction)

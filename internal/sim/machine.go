@@ -79,11 +79,6 @@ type Machine struct {
 	s *Simulator
 }
 
-// NewMachine builds a stepping machine for cfg.
-func NewMachine(cfg Config) (*Machine, error) {
-	return NewMachineWithFaults(cfg, Faults{})
-}
-
 // NewMachineWithFaults builds a stepping machine with seeded protocol
 // defects (see Faults).
 func NewMachineWithFaults(cfg Config, f Faults) (*Machine, error) {
@@ -105,11 +100,12 @@ func (m *Machine) CopyFrom(src *Machine) { m.s.copyFrom(src.s) }
 // clock and counters), the directory tables (sharer sets rebound to s's
 // arenas, classifiers cloned into s's pool), the per-core contexts with
 // their history tables, the version stores, the R-NUCA page table, mesh
-// and DRAM timing, the meter, histograms and counters, and the protocol's
-// private fields. MRU hints are dropped: they point into src. A Machine
-// never runs streams, synchronization or the run queue, so the cores'
-// stream fields are nil on both sides, and locks, barrier state and the
-// run queue are empty and left alone.
+// and DRAM timing, and the counters. MRU hints are dropped: they point
+// into src. The directory machine is not copied: its flags follow from the
+// Config, and the replica drop it carries lives only within one
+// transaction. A Machine never runs streams, synchronization or the run
+// queue, so the cores' stream fields are nil on both sides, and locks,
+// barrier state and the run queue are empty and left alone.
 func (s *Simulator) copyFrom(src *Simulator) {
 	if s.reference || src.reference {
 		panic("sim: copy of a reference-layout simulator")
@@ -138,20 +134,14 @@ func (s *Simulator) copyFrom(src *Simulator) {
 		c.history = h
 		c.lastL1D, c.l2Hint, c.l2HintTile, c.dirHint = nil, nil, 0, dirSlotHint{}
 	}
-	s.meter = src.meter
-	s.invalHist, s.evictHist = src.invalHist, src.evictHist
-	s.promotions, s.demotions = src.promotions, src.demotions
-	s.wordReads, s.wordWrites = src.wordReads, src.wordWrites
-	s.invalidations, s.bcastInvals, s.selfInvals = src.invalidations, src.bcastInvals, src.selfInvals
-	s.replicaHits, s.replicaInserts, s.replicaEvictions = src.replicaHits, src.replicaInserts, src.replicaEvictions
-	s.proto.copyState(src.proto)
+	s.counters = src.counters
 }
 
 // Cores returns the configured core count.
 func (m *Machine) Cores() int { return m.s.cfg.Cores }
 
 // Protocol returns the name of the protocol under test.
-func (m *Machine) Protocol() string { return m.s.proto.Name() }
+func (m *Machine) Protocol() string { return string(m.s.cfg.protocolKind()) }
 
 // Clock returns the core's local clock — the completion time of its last
 // step, which is exactly the run-queue key the engine would re-queue it

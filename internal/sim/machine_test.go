@@ -16,7 +16,10 @@ type copyVariant struct {
 	ackwise int // directory pointer override; 0 keeps the default
 	cores   int
 	// classifierK > 0 selects the Limited-k classifier (with more cores
-	// than k); vr enables victim replication (adaptive only).
+	// than k); vr enables victim replication (adaptive only) at PCT 1, its
+	// baseline pairing, with a longer, read-heavy walk: at PCT 4 or with
+	// every other access a write, the walk's victims are remote-mode or
+	// dirty and no replica forms.
 	classifierK int
 	vr          bool
 }
@@ -52,6 +55,9 @@ func (v copyVariant) config() Config {
 		cfg.ClassifierK = v.classifierK
 	}
 	cfg.VictimReplication = v.vr
+	if v.vr {
+		cfg.Protocol.PCT = 1
+	}
 	cfg.CheckValues = true
 	cfg.TrackUtilization = false
 	cfg.Protocol.UseTimestamp = false
@@ -111,10 +117,15 @@ func viewOf(m *Machine, lines []mem.Addr) machineView {
 // not, and each step's source is the previous step's fork, so copies of
 // copies are checked too. The walk's lines conflict in one L1-D set and
 // span several pages, so it reaches L1 evictions (and replicas under
-// victim replication), R-NUCA page moves and sharer overflow.
+// victim replication), R-NUCA page moves and sharer overflow. After every
+// clean step no victim-replication drop may be left in flight: CopyFrom
+// does not copy one.
 func TestMachineCopyFrom(t *testing.T) {
-	const steps = 80
 	for vi, v := range copyVariants {
+		steps, writeOneIn := 80, 2
+		if v.vr {
+			steps, writeOneIn = 400, 4
+		}
 		for fi, fc := range copyFaults {
 			t.Run(v.name+"/"+fc.name, func(t *testing.T) {
 				cfg := v.config()
@@ -147,7 +158,7 @@ func TestMachineCopyFrom(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1 + vi*len(copyFaults) + fi)))
 				pick := func(lines []mem.Addr) copyAction {
 					a := copyAction{core: rng.Intn(cfg.Cores), kind: mem.Read, addr: lines[rng.Intn(len(lines))]}
-					if rng.Intn(2) == 0 {
+					if rng.Intn(writeOneIn) == 0 {
 						a.kind = mem.Write
 					}
 					return a
@@ -157,7 +168,9 @@ func TestMachineCopyFrom(t *testing.T) {
 					// lines the walk never touches (a seeded fault may make
 					// one panic; CopyFrom must overwrite whatever is left).
 					for i := 0; i < 3; i++ {
-						stepRecover(spare, pick(scribble))
+						if a := pick(scribble); stepRecover(spare, a) == "" {
+							checkNoReplicaDrop(t, k, a, spare)
+						}
 					}
 					before := viewOf(walked, seen)
 					spare.CopyFrom(walked)
@@ -175,6 +188,8 @@ func TestMachineCopyFrom(t *testing.T) {
 					if wantMsg != "" {
 						return // a seeded fault fired; the walk ends here
 					}
+					checkNoReplicaDrop(t, k, a, spare)
+					checkNoReplicaDrop(t, k, a, ref)
 					if got, want := spare.s.collect(), ref.s.collect(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d %+v: result counters differ\nfork:   %+v\nreplay: %+v", k, a, got, want)
 					}
@@ -185,5 +200,17 @@ func TestMachineCopyFrom(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkNoReplicaDrop fails unless the victim-replication drop a write
+// miss carries to adaptive's resolve was cleared by the step that set it.
+// The directory machine is not copied by CopyFrom, so a drop left in
+// flight would leak into whatever the machine steps next.
+func checkNoReplicaDrop(t *testing.T, k int, a copyAction, m *Machine) {
+	t.Helper()
+	if d := m.s.proto; d.replicaDropped || d.replicaUtil != 0 {
+		t.Fatalf("step %d %+v: replica drop still in flight (dropped %v, util %d)",
+			k, a, d.replicaDropped, d.replicaUtil)
 	}
 }

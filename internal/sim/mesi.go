@@ -14,22 +14,16 @@ import (
 // paper's design space, against which the adaptive protocol is judged.
 // Requests are address-only: the written data stays in the L1 until
 // write-back.
+//
+// Neat runs this policy too; its difference is in the machine (neat.go).
 type mesiProtocol struct {
-	dirProtocol
+	*dirProtocol
 }
 
-func init() {
-	RegisterProtocol(ProtocolMESI, func(s *Simulator) Protocol {
-		p := &mesiProtocol{}
-		p.dirProtocol = dirProtocol{Simulator: s, pol: p, kind: ProtocolMESI}
-		return p
-	})
-}
-
-// resolve implements Protocol. A read first fetches the latest data
+// resolve implements policy. A read first fetches the latest data
 // from an E/M owner; a write invalidates every other private copy. Every
 // miss then ends with a private copy in the requester's L1.
-func (p *mesiProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
+func (p mesiProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, home int,
 	entry *dirEntry, l2line *cache.Line, upgrade bool, t mem.Cycle) (tEnd, sharersLat mem.Cycle, h uint8) {
 
 	if kind == mem.Read {

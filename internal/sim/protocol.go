@@ -2,27 +2,30 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"lacc/internal/cache"
+	"lacc/internal/core"
 	"lacc/internal/mem"
-	"lacc/internal/nuca"
 	"lacc/internal/stats"
 )
 
-// Protocol is a coherence protocol as the engine and the checker see it:
-// the miss transaction, the reaction to cache displacement at both levels
-// and to R-NUCA page migration, and the protocol's private counters. The
+// The protocol layer is closed: six coherence protocols run on one
+// directory machine, dirProtocol (baseline.go), which owns the miss
+// transaction (dirMiss, below), the line grant, the home-side release path
+// and the reaction to cache displacement and R-NUCA page migration. The
 // simulator core provides the substrate (tiles, mesh, DRAM, golden store,
-// energy meter) and the protocol-neutral L1 hit path (dataAccess).
+// counters) and the protocol-neutral L1 hit path (dataAccess). The
+// protocols differ only in
 //
-// The six built-in implementations share one directory transaction: they
-// embed dirProtocol (baseline.go), which owns the miss scaffold (dirMiss),
-// the line grant and the home-side release path, and each supplies only its
-// policy (resolve, dropped). The unexported methods keep implementations
-// inside this package. Implementations register themselves with
-// RegisterProtocol under a ProtocolKind; Config.ProtocolKind selects one per
-// simulation:
+//   - capability flags on the machine: write requests carry the word
+//     (wordRequests), directory entries carry the locality classifier
+//     (classified), there is no directory (noDirectory), and cores drop
+//     their Shared lines at synchronization points (selfInvalidate);
+//   - the sharer set the directory tables are built with (dirPointersFor);
+//   - a two-method policy: the home's decision for one request (resolve)
+//     and the directory's reaction when a copy leaves (dropped).
+//
+// newProtocol sets the flags and the policy for Config.ProtocolKind:
 //
 //   - ProtocolAdaptive — the paper's locality-aware adaptive protocol
 //     (ACKwise directory, private/remote classification, remote word
@@ -35,34 +38,36 @@ import (
 //   - ProtocolDLS — a directoryless shared-LLC baseline (every data access
 //     is a remote word access at the home slice; no private caching, no
 //     directory state), in dls.go,
-//   - ProtocolNeat — MESI with bounded sharer metadata (one pointer plus an
-//     overflow count) and self-invalidation of shared copies at
-//     synchronization points, in neat.go,
+//   - ProtocolNeat — MESI's policy with bounded sharer metadata (one
+//     pointer plus an overflow count) and self-invalidation of shared
+//     copies at synchronization points, in neat.go,
 //   - ProtocolHybrid — per-line MESI/Dragon switching driven by the
 //     locality classifier (private-mode sharers receive Dragon word
 //     updates, remote-mode sharers are MESI-invalidated), in hybrid.go.
-type Protocol interface {
-	// Name returns the registered kind string for reports and results.
-	Name() string
-	// L1Evict handles a line displaced from a core's L1 at time t: the
-	// eviction notification, write-back and directory release. The core
-	// does not wait on it.
-	L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
-	// L2Evict handles a home L2 slice eviction at time t: the inclusive
-	// hierarchy back-invalidates all private copies and writes dirty data
-	// back to DRAM.
-	L2Evict(home int, victim cache.Line, t mem.Cycle)
-	// PageMove applies an R-NUCA private->shared page reclassification:
-	// the page's lines migrate out of the old home slice.
-	PageMove(recl *nuca.Reclassification, t mem.Cycle)
-	// Finalize merges protocol-specific counters into the run result.
-	Finalize(r *Result)
 
-	// dirMiss executes a data access the L1 cannot serve: a plain miss, or
-	// (upgrade) a write to the core's own S copy. It is the shared
-	// scaffold unless a protocol puts a prelude in front of it (adaptive's
-	// victim replication).
-	dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool)
+// ProtocolKind names a coherence protocol.
+type ProtocolKind string
+
+// Protocol kinds. The empty string selects ProtocolAdaptive.
+const (
+	ProtocolAdaptive ProtocolKind = "adaptive"
+	ProtocolMESI     ProtocolKind = "mesi"
+	ProtocolDragon   ProtocolKind = "dragon"
+	ProtocolDLS      ProtocolKind = "dls"
+	ProtocolNeat     ProtocolKind = "neat"
+	ProtocolHybrid   ProtocolKind = "hybrid"
+)
+
+// ProtocolKinds returns the protocol kinds, sorted.
+func ProtocolKinds() []ProtocolKind {
+	return []ProtocolKind{
+		ProtocolAdaptive, ProtocolDLS, ProtocolDragon,
+		ProtocolHybrid, ProtocolMESI, ProtocolNeat,
+	}
+}
+
+// policy is a protocol's decision logic on the shared directory machine.
+type policy interface {
 	// resolve is the home's decision for one request, reached by dirMiss
 	// at time t once the home holds the line (entry is nil without a
 	// directory): owner fetch, invalidation or update fan-out, then a line
@@ -74,61 +79,45 @@ type Protocol interface {
 	// dropped is the directory's reaction when tile id's copy leaves for
 	// the given cause, util being the copy's utilization counter.
 	dropped(entry *dirEntry, id int, util uint32, why dropCause)
-	// copyState copies the protocol's private fields from src, the same
-	// kind of protocol bound to another simulator (Machine.CopyFrom).
-	copyState(src Protocol)
 }
 
-// ProtocolKind names a registered coherence protocol implementation.
-type ProtocolKind string
-
-// Registered protocol kinds. The empty string selects ProtocolAdaptive.
-const (
-	ProtocolAdaptive ProtocolKind = "adaptive"
-	ProtocolMESI     ProtocolKind = "mesi"
-	ProtocolDragon   ProtocolKind = "dragon"
-	ProtocolDLS      ProtocolKind = "dls"
-	ProtocolNeat     ProtocolKind = "neat"
-	ProtocolHybrid   ProtocolKind = "hybrid"
-)
-
-// protocolFactories maps registered kinds to constructors. Protocols are
-// built per simulation: a factory receives the Simulator and returns a
-// Protocol bound to it.
-var protocolFactories = map[ProtocolKind]func(*Simulator) Protocol{}
-
-// RegisterProtocol adds a protocol implementation to the registry. It
-// panics on duplicate registration (registration happens in init funcs).
-func RegisterProtocol(kind ProtocolKind, factory func(*Simulator) Protocol) {
-	if kind == "" {
-		panic("sim: RegisterProtocol with empty kind")
+// newProtocol builds the directory machine for s's configured kind, which
+// Config.Validate has checked: its capability flags, the classifier pool
+// of a classifying kind, and its policy.
+func newProtocol(s *Simulator) *dirProtocol {
+	d := &dirProtocol{Simulator: s}
+	switch kind := s.cfg.protocolKind(); kind {
+	case ProtocolAdaptive:
+		d.wordRequests, d.classified = true, true
+		d.pol = adaptiveProtocol{d}
+	case ProtocolMESI:
+		d.pol = mesiProtocol{d}
+	case ProtocolDragon:
+		d.wordRequests = true
+		d.pol = dragonProtocol{d}
+	case ProtocolDLS:
+		d.wordRequests, d.noDirectory = true, true
+		d.pol = dlsProtocol{d}
+	case ProtocolNeat:
+		d.selfInvalidate = true
+		d.pol = mesiProtocol{d}
+	case ProtocolHybrid:
+		d.wordRequests, d.classified = true, true
+		d.pol = hybridProtocol{dragonProtocol{d}}
+	default:
+		panic(fmt.Sprintf("sim: unknown protocol %q", kind))
 	}
-	if _, dup := protocolFactories[kind]; dup {
-		panic(fmt.Sprintf("sim: protocol %q registered twice", kind))
+	// Reset keeps a shape-compatible pool (with its slabs and reclaimed
+	// classifiers) across runs; build one only when absent.
+	if d.classified && (s.clsPool == nil || !s.clsPool.Matches(s.cfg.Cores, s.cfg.ClassifierK)) {
+		s.clsPool = core.NewClassifierPool(s.cfg.Cores, s.cfg.ClassifierK)
 	}
-	protocolFactories[kind] = factory
+	return d
 }
 
-// ProtocolKinds returns the registered protocol kinds, sorted.
-func ProtocolKinds() []ProtocolKind {
-	kinds := make([]ProtocolKind, 0, len(protocolFactories))
-	for k := range protocolFactories {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
-}
-
-// newProtocol instantiates the configured protocol for s. Config.Validate
-// has already checked the kind is registered.
-func newProtocol(s *Simulator) Protocol {
-	return protocolFactories[s.cfg.protocolKind()](s)
-}
-
-// Shared machinery. The hit path, the miss scaffold and the home lookup
-// below serve every protocol implementation (l2Fill also the
-// instruction-fetch path); protocol decisions are reached only through the
-// Protocol's policy methods.
+// Shared machinery. The hit path, the miss transaction and the home lookup
+// below serve every protocol (l2Fill also the instruction-fetch path);
+// protocol decisions are reached only through the policy.
 
 // dataAccess executes one data read or write for core c: the
 // protocol-neutral L1 hit path — reads hit in any state, writes hit on an E
@@ -175,14 +164,24 @@ func (s *Simulator) l1DataHit(c *coreState, line *cache.Line, kind mem.AccessKin
 	c.now += mem.Cycle(s.cfg.L1DLatency)
 }
 
-// dirMiss is the directory miss transaction every built-in protocol
-// shares: the L1 probe, the R-NUCA home lookup (with any page migration it
-// triggers), the request to the home, the home lookup, then the protocol's
-// resolve step, and finally the miss classification, the completion-time
-// breakdown and the core's clock. upgrade marks a write to the core's own S
-// copy.
+// dirMiss is the miss transaction every protocol shares: the L1 probe, the
+// R-NUCA home lookup (with any page migration it triggers), the request to
+// the home, the home lookup, then the policy's resolve step, and finally
+// the miss classification, the completion-time breakdown and the core's
+// clock. upgrade marks a write to the core's own S copy.
+//
+// Under victim replication (adaptive only) a prelude runs before the
+// request is sent: a read miss with a local replica never leaves the tile,
+// and a write miss drops the local replica and carries the sharership
+// release to the home inside the request, for resolve to apply.
 func (d *dirProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, upgrade bool) {
 	la := mem.LineOf(addr)
+	if d.cfg.VictimReplication {
+		if kind == mem.Read && d.replicaRead(c, la) {
+			return
+		}
+		d.replicaUtil, d.replicaDropped = d.dropOwnReplica(c, la)
+	}
 	t0 := c.now
 	if kind == mem.Write {
 		d.meter.L1DWrites++

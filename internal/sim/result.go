@@ -9,7 +9,7 @@ import (
 // Result is the outcome of one simulation run.
 type Result struct {
 	// Protocol names the coherence protocol that produced this result
-	// (the registered ProtocolKind).
+	// (its ProtocolKind).
 	Protocol string
 	// CompletionCycles is the parallel-region completion time: the maximum
 	// finish time over all cores.

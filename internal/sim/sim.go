@@ -136,7 +136,7 @@ type lockState struct {
 // pooled Simulator amortizes its arenas across many runs.
 type Simulator struct {
 	cfg   Config
-	proto Protocol
+	proto *dirProtocol
 	mesh  *network.Mesh
 	dram  *dram.Model
 	nuca  *nuca.Placement
@@ -166,6 +166,31 @@ type Simulator struct {
 	barrierID mem.Addr
 	barrierN  int
 
+	counters
+
+	// clsPool recycles per-entry classifiers in the fast core (adaptive
+	// protocol only); the reference core allocates fresh ones like the old
+	// implementation did, so a broken Reset would show up differentially.
+	clsPool *core.ClassifierPool
+
+	// Transaction scratch, reused to keep the hot path allocation-free:
+	// idScratch is a free-list of sharer-identity snapshots taken before
+	// mutating multicast loops; the broadcast buffers hold per-tile arrival
+	// times for the two (non-nesting) broadcast sites; selfScratch holds
+	// the lines syncSelfInvalidate drops.
+	idScratch   [][]int16
+	bcastInval  []mem.Cycle
+	bcastEvict  []mem.Cycle
+	selfScratch []cache.Line
+
+	runQ coreQueue
+}
+
+// counters are a run's statistics: the energy meter, the utilization
+// histograms and the protocol activity counts that collect reports. They
+// are one value, so Reset zeroes them and copyFrom copies them in one
+// assignment.
+type counters struct {
 	meter     energy.Meter
 	invalHist stats.UtilizationHistogram
 	evictHist stats.UtilizationHistogram
@@ -182,20 +207,7 @@ type Simulator struct {
 	replicaInserts   uint64
 	replicaEvictions uint64
 
-	// clsPool recycles per-entry classifiers in the fast core (adaptive
-	// protocol only); the reference core allocates fresh ones like the old
-	// implementation did, so a broken Reset would show up differentially.
-	clsPool *core.ClassifierPool
-
-	// Transaction scratch, reused to keep the hot path allocation-free:
-	// idScratch is a free-list of sharer-identity snapshots taken before
-	// mutating multicast loops; the broadcast buffers hold per-tile arrival
-	// times for the two (non-nesting) broadcast sites.
-	idScratch  [][]int16
-	bcastInval []mem.Cycle
-	bcastEvict []mem.Cycle
-
-	runQ coreQueue
+	updates uint64 // per-sharer word updates pushed (Dragon, hybrid)
 }
 
 // New builds a simulator for cfg.
@@ -303,7 +315,7 @@ func (s *Simulator) Reset(cfg Config) error {
 		}
 	}
 	if !keepPool {
-		s.clsPool = nil // the adaptive factory rebuilds it on demand
+		s.clsPool = nil // newProtocol rebuilds it on demand
 	}
 
 	// The cache arrays and the directory tables have independent reuse
@@ -347,13 +359,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.barrierID, s.barrierN = 0, 0
 
-	s.meter = energy.Meter{}
-	s.invalHist = stats.UtilizationHistogram{}
-	s.evictHist = stats.UtilizationHistogram{}
-	s.promotions, s.demotions = 0, 0
-	s.wordReads, s.wordWrites = 0, 0
-	s.invalidations, s.bcastInvals, s.selfInvals = 0, 0, 0
-	s.replicaHits, s.replicaInserts, s.replicaEvictions = 0, 0, 0
+	s.counters = counters{}
 
 	s.cfg = cfg
 	s.fetch8 = fetchFixedPoint(cfg.FetchPerOp)
@@ -551,7 +557,7 @@ func (s *Simulator) lockRelease(c *coreState, id uint64) error {
 // collect aggregates per-core statistics into a Result.
 func (s *Simulator) collect() *Result {
 	r := &Result{
-		Protocol:               s.proto.Name(),
+		Protocol:               string(s.cfg.protocolKind()),
 		Promotions:             s.promotions,
 		Demotions:              s.demotions,
 		WordReads:              s.wordReads,
@@ -573,6 +579,7 @@ func (s *Simulator) collect() *Result {
 		ReplicaHits:            s.replicaHits,
 		ReplicaInserts:         s.replicaInserts,
 		ReplicaEvictions:       s.replicaEvictions,
+		UpdateWrites:           s.updates,
 	}
 	r.PerCore = make([]CoreStats, len(s.cores))
 	for i := range s.cores {
@@ -596,7 +603,6 @@ func (s *Simulator) collect() *Result {
 	s.meter.LinkFlits = s.mesh.LinkFlits
 	r.Meter = s.meter
 	r.Energy = s.meter.Breakdown(s.cfg.Energy)
-	s.proto.Finalize(r)
 	return r
 }
 

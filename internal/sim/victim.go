@@ -21,8 +21,8 @@ import (
 // Victim replication rides on the shared directory walk: the release path
 // (baseline.go) calls tryReplicate and notifyReplicaEviction behind
 // Config.VictimReplication, which Config.Validate accepts only under the
-// adaptive protocol, and the adaptive miss path runs replicaRead and
-// dropOwnReplica in front of the shared miss scaffold.
+// adaptive protocol, and the miss transaction's prelude (dirMiss) runs
+// replicaRead and dropOwnReplica before the request is sent.
 
 // isReplica approves only replica lines for displacement: replicas must
 // never evict home lines.
@@ -61,8 +61,7 @@ func (s *dirProtocol) tryReplicate(c *coreState, victim cache.Line, t mem.Cycle)
 // replicaRead services an L1 read miss from a local replica, if present:
 // the line moves back into the L1 (the replica way is freed) at local L2
 // cost, with no network traffic. It reports whether the miss was absorbed.
-func (s *adaptiveProtocol) replicaRead(c *coreState, addr mem.Addr) bool {
-	la := mem.LineOf(addr)
+func (s *dirProtocol) replicaRead(c *coreState, la mem.Addr) bool {
 	l2 := s.tiles[c.id].l2
 	rl := l2.Probe(la)
 	if rl == nil || rl.State != lineReplica {
@@ -98,11 +97,9 @@ func (s *adaptiveProtocol) replicaRead(c *coreState, addr mem.Addr) bool {
 
 // dropOwnReplica invalidates the requester's local replica on a write miss
 // (the write request carries the drop to the home, costing no extra
-// message) and returns its frozen utilization counter.
-func (s *adaptiveProtocol) dropOwnReplica(c *coreState, la mem.Addr) (util uint32, had bool) {
-	if !s.cfg.VictimReplication {
-		return 0, false
-	}
+// message) and returns its frozen utilization counter. A read miss that
+// gets here has no replica: replicaRead would have absorbed it.
+func (s *dirProtocol) dropOwnReplica(c *coreState, la mem.Addr) (util uint32, had bool) {
 	l2 := s.tiles[c.id].l2
 	rl := l2.Probe(la)
 	if rl == nil || rl.State != lineReplica {
