@@ -7,8 +7,9 @@
 //	lacc-bench -quick all
 //
 // Experiments: fig1, fig2, fig8, fig9, fig10, fig11, fig12, fig13, fig14,
-// table1, table2, storage, ackwise, protocols, all. Figures 8-11 share one
-// PCT sweep, which is run once even when several of them are requested.
+// table1, table2, storage, ackwise, protocols, all. Figures 8-11 draw on
+// PCT sweeps whose common points simulate once per invocation, however many
+// of them are requested.
 // The protocols experiment runs every registered coherence protocol side
 // by side: full-map MESI, Dragon write-update, directoryless DLS, the
 // self-invalidating Neat, the per-line MESI/Dragon hybrid and the
@@ -18,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -167,17 +169,14 @@ func main() {
 	}
 }
 
-// runner caches the shared PCT sweep and Figure 1/2 run across experiments.
+// runner renders one experiment at a time. Experiments that share runs
+// (figures 1 and 2, the PCT points of figures 8-11) share them through
+// the session in opts, which simulates each distinct run once.
 type runner struct {
 	opts      experiments.Options
 	timing    bool
 	jsonOut   bool
 	checkFile string
-
-	sweep8  *experiments.PCTSweep // PCT 1..8 (figures 8 and 9)
-	sweep11 *experiments.PCTSweep // extended sweep (figure 11)
-	sweep10 *experiments.PCTSweep // reduced sweep (figure 10)
-	fig12   *experiments.Fig1And2Result
 }
 
 func (r *runner) run(name string) error {
@@ -197,73 +196,33 @@ func (r *runner) run(name string) error {
 	case "storage":
 		err = experiments.Storage(sim.Default()).Render(os.Stdout)
 	case "fig1", "fig2":
-		if r.fig12 == nil {
-			if r.fig12, err = experiments.Fig1And2(r.opts); err != nil {
-				return err
-			}
-		}
-		err = r.fig12.Render(os.Stdout)
+		err = render(experiments.Fig1And2(r.opts))
 	case "fig8":
-		var sw *experiments.PCTSweep
-		if sw, err = r.get8(); err == nil {
-			err = sw.RenderFig8(os.Stdout)
-		}
+		err = renderSweep(r.opts, experiments.Fig8PCTs, (*experiments.PCTSweep).RenderFig8)
 	case "fig9":
-		var sw *experiments.PCTSweep
-		if sw, err = r.get8(); err == nil {
-			err = sw.RenderFig9(os.Stdout)
-		}
+		err = renderSweep(r.opts, experiments.Fig8PCTs, (*experiments.PCTSweep).RenderFig9)
 	case "fig10":
-		if r.sweep10 == nil {
-			if r.sweep10, err = experiments.RunPCTSweep(r.opts, experiments.Fig10PCTs); err != nil {
-				return err
-			}
-		}
-		err = r.sweep10.RenderFig10(os.Stdout)
+		err = renderSweep(r.opts, experiments.Fig10PCTs, (*experiments.PCTSweep).RenderFig10)
 	case "fig11":
-		if r.sweep11 == nil {
-			if r.sweep11, err = experiments.RunPCTSweep(r.opts, experiments.Fig11PCTs); err != nil {
-				return err
-			}
-		}
-		err = r.sweep11.Fig11().Render(os.Stdout)
+		err = renderSweep(r.opts, experiments.Fig11PCTs, func(sw *experiments.PCTSweep, w io.Writer) error {
+			return sw.Fig11().Render(w)
+		})
 	case "fig12":
-		var f *experiments.Fig12Result
-		if f, err = experiments.Fig12(r.opts); err == nil {
-			err = f.Render(os.Stdout)
-		}
+		err = render(experiments.Fig12(r.opts))
 	case "fig13":
-		var f *experiments.Fig13Result
-		if f, err = experiments.Fig13(r.opts); err == nil {
-			err = f.Render(os.Stdout)
-		}
+		err = render(experiments.Fig13(r.opts))
 	case "fig14":
-		var f *experiments.Fig14Result
-		if f, err = experiments.Fig14(r.opts); err == nil {
-			err = f.Render(os.Stdout)
-		}
+		err = render(experiments.Fig14(r.opts))
 	case "ackwise":
-		var a *experiments.AckwiseComparisonResult
-		if a, err = experiments.AckwiseComparison(r.opts, nil); err == nil {
-			err = a.Render(os.Stdout)
-		}
+		err = render(experiments.AckwiseComparison(r.opts, nil))
 	case "protocols":
-		var p *experiments.ProtocolComparisonResult
-		if p, err = experiments.ProtocolComparison(r.opts, nil); err == nil {
-			err = p.Render(os.Stdout)
-		}
+		err = render(experiments.ProtocolComparison(r.opts, nil))
 	case "storage-scaling":
 		err = experiments.StorageScaling(nil).Render(os.Stdout)
 	case "vr":
-		var v *experiments.VictimReplicationResult
-		if v, err = experiments.VictimReplication(r.opts); err == nil {
-			err = v.Render(os.Stdout)
-		}
+		err = render(experiments.VictimReplication(r.opts))
 	case "scaling":
-		var p *experiments.PerformanceScalingResult
-		if p, err = experiments.PerformanceScaling(r.opts, nil); err == nil {
-			err = p.Render(os.Stdout)
-		}
+		err = render(experiments.PerformanceScaling(r.opts, nil))
 	case "benchcore":
 		// The benchmark-regression harness (see benchcore.go). Not part of
 		// `all`: it re-runs simulations many times to get stable numbers.
@@ -288,14 +247,23 @@ func (r *runner) run(name string) error {
 	return nil
 }
 
-func (r *runner) get8() (*experiments.PCTSweep, error) {
-	if r.sweep8 == nil {
-		var err error
-		if r.sweep8, err = experiments.RunPCTSweep(r.opts, experiments.Fig8PCTs); err != nil {
-			return nil, err
-		}
+// render prints an experiment's result to stdout, or returns the error
+// that stopped the experiment.
+func render(r interface{ Render(io.Writer) error }, err error) error {
+	if err != nil {
+		return err
 	}
-	return r.sweep8, nil
+	return r.Render(os.Stdout)
+}
+
+// renderSweep runs the PCT sweep over pcts and prints the figure fig
+// draws from it.
+func renderSweep(o experiments.Options, pcts []int, fig func(*experiments.PCTSweep, io.Writer) error) error {
+	sw, err := experiments.RunPCTSweep(o, pcts)
+	if err != nil {
+		return err
+	}
+	return fig(sw, os.Stdout)
 }
 
 // flushProfiles finalizes any -cpuprofile/-memprofile outputs; fatal and

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"lacc/internal/sim"
+	"lacc/internal/stats"
 	"lacc/internal/workloads"
 )
 
@@ -159,6 +160,74 @@ type job struct {
 	cfg     sim.Config
 }
 
+// variant is one column of an experiment's grid: a machine configuration
+// every selected benchmark runs under. The name only labels errors.
+type variant struct {
+	name string
+	cfg  sim.Config
+}
+
+// variant returns the base configuration as changed by tweak (nil keeps
+// it as is), named for error messages.
+func (o Options) variant(name string, tweak func(*sim.Config)) variant {
+	cfg := o.baseConfig()
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return variant{name: name, cfg: cfg}
+}
+
+// grid runs every selected benchmark under every variant and returns
+// runs[v][b]: variant v's result for o.Benchmarks[b]. Jobs are queued
+// benchmark by benchmark, so workers replay one hot corpus across its
+// variants.
+func (o Options) grid(vs []variant) ([][]*sim.Result, error) {
+	jobs := make([]job, 0, len(o.Benchmarks)*len(vs))
+	for _, bench := range o.Benchmarks {
+		for _, v := range vs {
+			jobs = append(jobs, job{bench: bench, variant: v.name, cfg: v.cfg})
+		}
+	}
+	res, err := o.runJobs(jobs)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([][]*sim.Result, len(vs))
+	for v := range vs {
+		runs[v] = make([]*sim.Result, len(o.Benchmarks))
+		for b := range o.Benchmarks {
+			runs[v][b] = res[b*len(vs)+v]
+		}
+	}
+	return runs, nil
+}
+
+// The metrics experiments normalize: completion time, dynamic energy and
+// network traffic in link flits.
+func completion(r *sim.Result) float64 { return r.Time.Total() }
+func energy(r *sim.Result) float64     { return r.Energy.Total() }
+func linkFlits(r *sim.Result) float64  { return float64(r.LinkFlits) }
+
+// ratio returns metric(r) normalized to metric(ref), and whether that is
+// defined (ref's metric is positive).
+func ratio(r, ref *sim.Result, metric func(*sim.Result) float64) (float64, bool) {
+	m := metric(ref)
+	return metric(r) / m, m > 0
+}
+
+// geoRatio is the paper's summary statistic: the geometric mean over
+// benchmarks of runs[b]'s metric normalized to refs[b]'s, skipping the
+// benchmarks where the ratio is undefined.
+func geoRatio(runs, refs []*sim.Result, metric func(*sim.Result) float64) float64 {
+	ratios := make([]float64, 0, len(refs))
+	for b, ref := range refs {
+		if x, ok := ratio(runs[b], ref, metric); ok {
+			ratios = append(ratios, x)
+		}
+	}
+	return stats.GeoMean(ratios)
+}
+
 // errAborted marks jobs skipped because an earlier job in the batch
 // failed.
 var errAborted = errors.New("aborted after earlier failure")
@@ -194,8 +263,8 @@ type workItem struct {
 	job   job
 }
 
-// runJobs executes all jobs with bounded parallelism and returns results
-// keyed by (bench, variant). The first simulation error aborts the batch,
+// runJobs executes all jobs with bounded parallelism and returns their
+// results in job order. The first simulation error aborts the batch,
 // as does cancellation of Options.Context (queued jobs are abandoned; the
 // context's error is returned).
 //
@@ -209,7 +278,7 @@ type workItem struct {
 // worker rather than once per job. Job order within a batch follows the
 // caller's slice, which groups variants of one benchmark together —
 // workers naturally replay a hot corpus.
-func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) {
+func (o Options) runJobs(jobs []job) ([]*sim.Result, error) {
 	sess := o.Session
 	if sess == nil {
 		sess = NewSession()
@@ -283,11 +352,11 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 		claimed[it.key] = true
 	}
 
-	// Collection phase: every variant resolves through its fingerprint's
-	// entry (deduplicated variants share one *sim.Result).
-	out := make(map[string]map[string]*sim.Result, len(o.Benchmarks))
+	// Collection phase: every job resolves through its fingerprint's entry
+	// (deduplicated jobs share one *sim.Result).
+	out := make([]*sim.Result, len(jobs))
 	var firstErr error
-	for _, j := range jobs {
+	for i, j := range jobs {
 		k := keyFor(j)
 		e := entries[k]
 		select {
@@ -326,12 +395,7 @@ func (o Options) runJobs(jobs []job) (map[string]map[string]*sim.Result, error) 
 			}
 			continue
 		}
-		m := out[j.bench]
-		if m == nil {
-			m = make(map[string]*sim.Result)
-			out[j.bench] = m
-		}
-		m[j.variant] = e.res
+		out[i] = e.res
 	}
 	if firstErr != nil {
 		// A batch aborted by cancellation reports the context's error, not
@@ -433,11 +497,11 @@ func (o Options) runOne(worker **sim.Simulator, j job) (*sim.Result, error) {
 // simulate runs one benchmark under one configuration through the job
 // scheduler (sharing the session cache and simulator pool).
 func (o Options) simulate(j job) (*sim.Result, error) {
-	raw, err := o.runJobs([]job{j})
+	res, err := o.runJobs([]job{j})
 	if err != nil {
 		return nil, err
 	}
-	return raw[j.bench][j.variant], nil
+	return res[0], nil
 }
 
 // labelOf returns the paper's figure label for a benchmark name.

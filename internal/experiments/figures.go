@@ -22,14 +22,10 @@ type Fig1And2Result struct {
 // (Figure 1) and eviction (Figure 2) time.
 func Fig1And2(o Options) (*Fig1And2Result, error) {
 	o = o.normalize()
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		cfg := o.baseConfig()
-		cfg.Protocol.PCT = 1 // baseline: everything is privately cached
-		cfg.TrackUtilization = true
-		jobs = append(jobs, job{bench: bench, variant: "base", cfg: cfg})
-	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid([]variant{o.variant("base", func(c *sim.Config) {
+		c.Protocol.PCT = 1 // baseline: everything is privately cached
+		c.TrackUtilization = true
+	})})
 	if err != nil {
 		return nil, err
 	}
@@ -38,10 +34,9 @@ func Fig1And2(o Options) (*Fig1And2Result, error) {
 		Invalidation: map[string]stats.UtilizationHistogram{},
 		Eviction:     map[string]stats.UtilizationHistogram{},
 	}
-	for _, bench := range o.Benchmarks {
-		r := raw[bench]["base"]
-		out.Invalidation[bench] = r.InvalidationUtil
-		out.Eviction[bench] = r.EvictionUtil
+	for b, bench := range o.Benchmarks {
+		out.Invalidation[bench] = runs[0][b].InvalidationUtil
+		out.Eviction[bench] = runs[0][b].EvictionUtil
 	}
 	return out, nil
 }
@@ -106,39 +101,25 @@ type Fig12Result struct {
 // Fig12 runs the RAT sensitivity study at the default PCT.
 func Fig12(o Options) (*Fig12Result, error) {
 	o = o.normalize()
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		for _, v := range Fig12Variants {
-			cfg := o.baseConfig()
-			cfg.Protocol.UseTimestamp = v.Timestamp
+	vs := make([]variant, len(Fig12Variants))
+	for i, v := range Fig12Variants {
+		vs[i] = o.variant(v.Name, func(c *sim.Config) {
+			c.Protocol.UseTimestamp = v.Timestamp
 			if !v.Timestamp {
-				cfg.Protocol.NRATLevels = v.NRATLevels
-				cfg.Protocol.RATMax = v.RATMax
+				c.Protocol.NRATLevels = v.NRATLevels
+				c.Protocol.RATMax = v.RATMax
 			}
-			jobs = append(jobs, job{bench: bench, variant: v.Name, cfg: cfg})
-		}
+		})
 	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid(vs)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig12Result{Completion: map[string]float64{}, Energy: map[string]float64{}}
-	ref := Fig12Variants[0].Name
-	for _, v := range Fig12Variants {
+	for i, v := range Fig12Variants {
 		out.Variants = append(out.Variants, v.Name)
-		var times, energies []float64
-		for _, bench := range o.Benchmarks {
-			b := raw[bench][ref]
-			r := raw[bench][v.Name]
-			if bt := b.Time.Total(); bt > 0 {
-				times = append(times, r.Time.Total()/bt)
-			}
-			if be := b.Energy.Total(); be > 0 {
-				energies = append(energies, r.Energy.Total()/be)
-			}
-		}
-		out.Completion[v.Name] = stats.GeoMean(times)
-		out.Energy[v.Name] = stats.GeoMean(energies)
+		out.Completion[v.Name] = geoRatio(runs[i], runs[0], completion)
+		out.Energy[v.Name] = geoRatio(runs[i], runs[0], energy)
 	}
 	return out, nil
 }
@@ -171,15 +152,11 @@ type Fig13Result struct {
 func Fig13(o Options) (*Fig13Result, error) {
 	o = o.normalize()
 	ks := Fig13Ks(o.Cores)
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		for _, k := range ks {
-			cfg := o.baseConfig()
-			cfg.ClassifierK = k
-			jobs = append(jobs, job{bench: bench, variant: fmt.Sprintf("k%d", k), cfg: cfg})
-		}
+	vs := make([]variant, len(ks))
+	for i, k := range ks {
+		vs[i] = o.variant(fmt.Sprintf("k%d", k), func(c *sim.Config) { c.ClassifierK = k })
 	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid(vs)
 	if err != nil {
 		return nil, err
 	}
@@ -188,18 +165,16 @@ func Fig13(o Options) (*Fig13Result, error) {
 		Completion: map[string]map[int]float64{},
 		Energy:     map[string]map[int]float64{},
 	}
-	complete := fmt.Sprintf("k%d", o.Cores)
-	for _, bench := range o.Benchmarks {
-		base := raw[bench][complete]
+	complete := runs[len(ks)-1]
+	for b, bench := range o.Benchmarks {
 		ct := map[int]float64{}
 		en := map[int]float64{}
-		for _, k := range ks {
-			r := raw[bench][fmt.Sprintf("k%d", k)]
-			if bt := base.Time.Total(); bt > 0 {
-				ct[k] = r.Time.Total() / bt
+		for i, k := range ks {
+			if x, ok := ratio(runs[i][b], complete[b], completion); ok {
+				ct[k] = x
 			}
-			if be := base.Energy.Total(); be > 0 {
-				en[k] = r.Energy.Total() / be
+			if x, ok := ratio(runs[i][b], complete[b], energy); ok {
+				en[k] = x
 			}
 		}
 		out.Completion[bench] = ct
@@ -252,39 +227,29 @@ type Fig14Result struct {
 // against the full two-way protocol at the default PCT.
 func Fig14(o Options) (*Fig14Result, error) {
 	o = o.normalize()
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		twoWay := o.baseConfig()
-		oneWay := o.baseConfig()
-		oneWay.Protocol.OneWay = true
-		jobs = append(jobs,
-			job{bench: bench, variant: "2way", cfg: twoWay},
-			job{bench: bench, variant: "1way", cfg: oneWay})
-	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid([]variant{
+		o.variant("2way", nil),
+		o.variant("1way", func(c *sim.Config) { c.Protocol.OneWay = true }),
+	})
 	if err != nil {
 		return nil, err
 	}
+	two, one := runs[0], runs[1]
 	out := &Fig14Result{
-		Benches:     o.Benchmarks,
-		TimeRatio:   map[string]float64{},
-		EnergyRatio: map[string]float64{},
+		Benches:       o.Benchmarks,
+		TimeRatio:     map[string]float64{},
+		EnergyRatio:   map[string]float64{},
+		GeomeanTime:   geoRatio(one, two, completion),
+		GeomeanEnergy: geoRatio(one, two, energy),
 	}
-	var times, energies []float64
-	for _, bench := range o.Benchmarks {
-		two := raw[bench]["2way"]
-		one := raw[bench]["1way"]
-		if t := two.Time.Total(); t > 0 {
-			out.TimeRatio[bench] = one.Time.Total() / t
-			times = append(times, out.TimeRatio[bench])
+	for b, bench := range o.Benchmarks {
+		if x, ok := ratio(one[b], two[b], completion); ok {
+			out.TimeRatio[bench] = x
 		}
-		if e := two.Energy.Total(); e > 0 {
-			out.EnergyRatio[bench] = one.Energy.Total() / e
-			energies = append(energies, out.EnergyRatio[bench])
+		if x, ok := ratio(one[b], two[b], energy); ok {
+			out.EnergyRatio[bench] = x
 		}
 	}
-	out.GeomeanTime = stats.GeoMean(times)
-	out.GeomeanEnergy = stats.GeoMean(energies)
 	return out, nil
 }
 
@@ -318,15 +283,11 @@ func AckwiseComparison(o Options, pointers []int) (*AckwiseComparisonResult, err
 	if len(pointers) == 0 {
 		pointers = []int{4, o.Cores}
 	}
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		for _, p := range pointers {
-			cfg := o.baseConfig()
-			cfg.AckwisePointers = p
-			jobs = append(jobs, job{bench: bench, variant: fmt.Sprintf("p%d", p), cfg: cfg})
-		}
+	vs := make([]variant, len(pointers))
+	for i, p := range pointers {
+		vs[i] = o.variant(fmt.Sprintf("p%d", p), func(c *sim.Config) { c.AckwisePointers = p })
 	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid(vs)
 	if err != nil {
 		return nil, err
 	}
@@ -336,23 +297,13 @@ func AckwiseComparison(o Options, pointers []int) (*AckwiseComparisonResult, err
 		Energy:     map[int]float64{},
 		Broadcasts: map[int]uint64{},
 	}
-	ref := fmt.Sprintf("p%d", pointers[len(pointers)-1])
-	for _, p := range pointers {
-		var times, energies []float64
-		variant := fmt.Sprintf("p%d", p)
-		for _, bench := range o.Benchmarks {
-			base := raw[bench][ref]
-			r := raw[bench][variant]
-			if bt := base.Time.Total(); bt > 0 {
-				times = append(times, r.Time.Total()/bt)
-			}
-			if be := base.Energy.Total(); be > 0 {
-				energies = append(energies, r.Energy.Total()/be)
-			}
+	ref := runs[len(pointers)-1]
+	for i, p := range pointers {
+		out.Completion[p] = geoRatio(runs[i], ref, completion)
+		out.Energy[p] = geoRatio(runs[i], ref, energy)
+		for _, r := range runs[i] {
 			out.Broadcasts[p] += r.BroadcastInvalidations
 		}
-		out.Completion[p] = stats.GeoMean(times)
-		out.Energy[p] = stats.GeoMean(energies)
 	}
 	return out, nil
 }

@@ -34,29 +34,27 @@ func RunPCTSweep(o Options, pcts []int) (*PCTSweep, error) {
 	if len(pcts) == 0 {
 		pcts = Fig8PCTs
 	}
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		for _, pct := range pcts {
-			cfg := o.baseConfig()
-			cfg.Protocol.PCT = pct
+	vs := make([]variant, len(pcts))
+	for i, pct := range pcts {
+		vs[i] = o.variant(fmt.Sprintf("pct%d", pct), func(c *sim.Config) {
+			c.Protocol.PCT = pct
 			// RAT starts at PCT, so the ladder ceiling must keep up when
 			// the sweep passes the default RATmax of 16 (Figure 11 sweeps
 			// PCT to 20).
-			if cfg.Protocol.RATMax < pct {
-				cfg.Protocol.RATMax = pct
+			if c.Protocol.RATMax < pct {
+				c.Protocol.RATMax = pct
 			}
-			jobs = append(jobs, job{bench: bench, variant: fmt.Sprintf("pct%d", pct), cfg: cfg})
-		}
+		})
 	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid(vs)
 	if err != nil {
 		return nil, err
 	}
 	sw := &PCTSweep{PCTs: pcts, Benches: o.Benchmarks, Results: map[string]map[int]*sim.Result{}}
-	for bench, byVariant := range raw {
-		m := make(map[int]*sim.Result, len(byVariant))
-		for _, pct := range pcts {
-			m[pct] = byVariant[fmt.Sprintf("pct%d", pct)]
+	for b, bench := range o.Benchmarks {
+		m := make(map[int]*sim.Result, len(pcts))
+		for i, pct := range pcts {
+			m[pct] = runs[i][b]
 		}
 		sw.Results[bench] = m
 	}
@@ -85,6 +83,15 @@ func (s *PCTSweep) baseline() int {
 	return b
 }
 
+// column returns the sweep's runs at pct, one per benchmark.
+func (s *PCTSweep) column(pct int) []*sim.Result {
+	col := make([]*sim.Result, len(s.Benches))
+	for b, bench := range s.Benches {
+		col[b] = s.at(bench, pct)
+	}
+	return col
+}
+
 // energyShares splits one run's energy into the Figure 8 components,
 // normalized against the same benchmark's baseline total.
 func energyShares(r, base *sim.Result) []float64 {
@@ -111,48 +118,30 @@ func timeShares(r, base *sim.Result) []float64 {
 // PCT, the six energy components normalized to the benchmark's total at the
 // baseline PCT, followed by the cross-benchmark average.
 func (s *PCTSweep) RenderFig8(w io.Writer) error {
-	t := report.NewTable(
+	return s.renderShares(w,
 		"Figure 8: dynamic energy breakdown vs PCT (normalized to PCT 1 total per benchmark)",
-		"benchmark", "pct", "L1-I", "L1-D", "L2", "dir", "router", "link", "total")
-	base := s.baseline()
-	avg := make(map[int][]float64, len(s.PCTs))
-	for _, bench := range s.Benches {
-		for _, pct := range s.PCTs {
-			shares := energyShares(s.at(bench, pct), s.at(bench, base))
-			total := 0.0
-			for _, v := range shares {
-				total += v
-			}
-			t.AddRowValues(labelOf(bench), pct,
-				shares[0], shares[1], shares[2], shares[3], shares[4], shares[5], total)
-			if avg[pct] == nil {
-				avg[pct] = make([]float64, 7)
-			}
-			for i, v := range shares {
-				avg[pct][i] += v
-			}
-			avg[pct][6] += total
-		}
-	}
-	n := float64(len(s.Benches))
-	for _, pct := range s.PCTs {
-		a := avg[pct]
-		t.AddRowValues("AVERAGE", pct, a[0]/n, a[1]/n, a[2]/n, a[3]/n, a[4]/n, a[5]/n, a[6]/n)
-	}
-	return t.Write(w)
+		[]string{"L1-I", "L1-D", "L2", "dir", "router", "link"}, energyShares)
 }
 
 // RenderFig9 prints the Figure 9 completion-time breakdown, normalized like
 // Figure 8.
 func (s *PCTSweep) RenderFig9(w io.Writer) error {
-	t := report.NewTable(
+	return s.renderShares(w,
 		"Figure 9: completion time breakdown vs PCT (normalized to PCT 1 total per benchmark)",
-		"benchmark", "pct", "compute", "L1-L2", "L2-wait", "L2-sharers", "off-chip", "sync", "total")
+		[]string{"compute", "L1-L2", "L2-wait", "L2-sharers", "off-chip", "sync"}, timeShares)
+}
+
+// renderShares prints one row per (benchmark, PCT) of the six shares split
+// out of each run against the benchmark's baseline run, with their total,
+// followed by one AVERAGE row per PCT.
+func (s *PCTSweep) renderShares(w io.Writer, title string, parts []string,
+	split func(r, base *sim.Result) []float64) error {
+	t := report.NewTable(title, append(append([]string{"benchmark", "pct"}, parts...), "total")...)
 	base := s.baseline()
 	avg := make(map[int][]float64, len(s.PCTs))
 	for _, bench := range s.Benches {
 		for _, pct := range s.PCTs {
-			shares := timeShares(s.at(bench, pct), s.at(bench, base))
+			shares := split(s.at(bench, pct), s.at(bench, base))
 			total := 0.0
 			for _, v := range shares {
 				total += v
@@ -217,22 +206,15 @@ type Fig11Result struct {
 
 // Fig11 computes the geometric means over the sweep's benchmarks.
 func (s *PCTSweep) Fig11() *Fig11Result {
-	base := s.baseline()
+	refs := s.column(s.baseline())
 	out := &Fig11Result{}
 	for _, pct := range s.PCTs {
-		var times, energies []float64
-		for _, bench := range s.Benches {
-			b := s.at(bench, base)
-			r := s.at(bench, pct)
-			if bt := b.Time.Total(); bt > 0 {
-				times = append(times, r.Time.Total()/bt)
-			}
-			if be := b.Energy.Total(); be > 0 {
-				energies = append(energies, r.Energy.Total()/be)
-			}
-		}
-		p := Fig11Point{PCT: pct, Completion: stats.GeoMean(times), Energy: stats.GeoMean(energies)}
-		out.Points = append(out.Points, p)
+		col := s.column(pct)
+		out.Points = append(out.Points, Fig11Point{
+			PCT:        pct,
+			Completion: geoRatio(col, refs, completion),
+			Energy:     geoRatio(col, refs, energy),
+		})
 	}
 	sort.Slice(out.Points, func(i, j int) bool { return out.Points[i].PCT < out.Points[j].PCT })
 	minSum := 0.0

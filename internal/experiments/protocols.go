@@ -6,7 +6,6 @@ import (
 
 	"lacc/internal/report"
 	"lacc/internal/sim"
-	"lacc/internal/stats"
 )
 
 // ProtocolComparisonResult holds one simulation per (benchmark, coherence
@@ -39,15 +38,11 @@ func ProtocolComparison(o Options, kinds []sim.ProtocolKind) (*ProtocolCompariso
 			sim.ProtocolNeat, sim.ProtocolHybrid, sim.ProtocolAdaptive,
 		}
 	}
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		for _, kind := range kinds {
-			cfg := o.baseConfig()
-			cfg.ProtocolKind = kind
-			jobs = append(jobs, job{bench: bench, variant: string(kind), cfg: cfg})
-		}
+	vs := make([]variant, len(kinds))
+	for i, kind := range kinds {
+		vs[i] = o.variant(string(kind), func(c *sim.Config) { c.ProtocolKind = kind })
 	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid(vs)
 	if err != nil {
 		return nil, err
 	}
@@ -60,32 +55,17 @@ func ProtocolComparison(o Options, kinds []sim.ProtocolKind) (*ProtocolCompariso
 		Energy:     map[sim.ProtocolKind]float64{},
 		Traffic:    map[sim.ProtocolKind]float64{},
 	}
-	for _, bench := range o.Benchmarks {
+	for b, bench := range o.Benchmarks {
 		m := make(map[sim.ProtocolKind]*sim.Result, len(kinds))
-		for _, kind := range kinds {
-			m[kind] = raw[bench][string(kind)]
+		for i, kind := range kinds {
+			m[kind] = runs[i][b]
 		}
 		out.Results[bench] = m
 	}
-	ref := string(kinds[0])
-	for _, kind := range kinds {
-		var times, energies, flits []float64
-		for _, bench := range o.Benchmarks {
-			base := raw[bench][ref]
-			r := raw[bench][string(kind)]
-			if bt := base.Time.Total(); bt > 0 {
-				times = append(times, r.Time.Total()/bt)
-			}
-			if be := base.Energy.Total(); be > 0 {
-				energies = append(energies, r.Energy.Total()/be)
-			}
-			if base.LinkFlits > 0 {
-				flits = append(flits, float64(r.LinkFlits)/float64(base.LinkFlits))
-			}
-		}
-		out.Completion[kind] = stats.GeoMean(times)
-		out.Energy[kind] = stats.GeoMean(energies)
-		out.Traffic[kind] = stats.GeoMean(flits)
+	for i, kind := range kinds {
+		out.Completion[kind] = geoRatio(runs[i], runs[0], completion)
+		out.Energy[kind] = geoRatio(runs[i], runs[0], energy)
+		out.Traffic[kind] = geoRatio(runs[i], runs[0], linkFlits)
 	}
 	return out, nil
 }

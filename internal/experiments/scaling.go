@@ -6,7 +6,6 @@ import (
 
 	"lacc/internal/report"
 	"lacc/internal/sim"
-	"lacc/internal/stats"
 )
 
 // StorageScalingResult evaluates the Section 3.6 storage argument across
@@ -91,33 +90,15 @@ func PerformanceScaling(o Options, coreCounts []int) (*PerformanceScalingResult,
 		co := o
 		co.Cores = cores
 		co.MeshWidth = widestDivisor(cores)
-		var jobs []job
-		for _, bench := range co.Benchmarks {
-			base := co.baseConfig()
-			base.Protocol.PCT = 1
-			adapt := co.baseConfig()
-			adapt.Protocol.PCT = 4
-			jobs = append(jobs,
-				job{bench: bench, variant: "base", cfg: base},
-				job{bench: bench, variant: "adapt", cfg: adapt})
-		}
-		raw, err := co.runJobs(jobs)
+		runs, err := co.grid([]variant{
+			co.variant("base", func(c *sim.Config) { c.Protocol.PCT = 1 }),
+			co.variant("adapt", func(c *sim.Config) { c.Protocol.PCT = 4 }),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("at %d cores: %w", cores, err)
 		}
-		var times, energies []float64
-		for _, bench := range co.Benchmarks {
-			b := raw[bench]["base"]
-			a := raw[bench]["adapt"]
-			if bt := b.Time.Total(); bt > 0 {
-				times = append(times, a.Time.Total()/bt)
-			}
-			if be := b.Energy.Total(); be > 0 {
-				energies = append(energies, a.Energy.Total()/be)
-			}
-		}
-		out.Completion[cores] = stats.GeoMean(times)
-		out.Energy[cores] = stats.GeoMean(energies)
+		out.Completion[cores] = geoRatio(runs[1], runs[0], completion)
+		out.Energy[cores] = geoRatio(runs[1], runs[0], energy)
 	}
 	return out, nil
 }

@@ -129,7 +129,7 @@ func TestIntraBatchDedup(t *testing.T) {
 	if jobs != 1 {
 		t.Fatalf("duplicate jobs executed %d simulations, want 1", jobs)
 	}
-	if raw["radix"]["a"] != raw["radix"]["b"] {
+	if raw[0] != raw[1] {
 		t.Fatal("duplicate variants did not share one result")
 	}
 }
@@ -214,7 +214,7 @@ func TestAbortedBatchRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
-	if raw["radix"]["ok"] == nil {
+	if raw[0] == nil {
 		t.Fatal("retry returned no result")
 	}
 }

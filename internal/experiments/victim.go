@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"lacc/internal/report"
-	"lacc/internal/stats"
+	"lacc/internal/sim"
 )
 
 // VictimReplicationResult compares the three cache management schemes the
@@ -27,49 +27,30 @@ type VictimReplicationResult struct {
 // VictimReplication runs the three-way comparison.
 func VictimReplication(o Options) (*VictimReplicationResult, error) {
 	o = o.normalize()
-	var jobs []job
-	for _, bench := range o.Benchmarks {
-		base := o.baseConfig()
-		base.Protocol.PCT = 1
-
-		vr := o.baseConfig()
-		vr.Protocol.PCT = 1
-		vr.VictimReplication = true
-
-		adapt := o.baseConfig()
-		adapt.Protocol.PCT = 4
-
-		jobs = append(jobs,
-			job{bench: bench, variant: "base", cfg: base},
-			job{bench: bench, variant: "vr", cfg: vr},
-			job{bench: bench, variant: "adapt", cfg: adapt})
-	}
-	raw, err := o.runJobs(jobs)
+	runs, err := o.grid([]variant{
+		o.variant("base", func(c *sim.Config) { c.Protocol.PCT = 1 }),
+		o.variant("vr", func(c *sim.Config) {
+			c.Protocol.PCT = 1
+			c.VictimReplication = true
+		}),
+		o.variant("adapt", func(c *sim.Config) { c.Protocol.PCT = 4 }),
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &VictimReplicationResult{Benches: o.Benchmarks}
-	var vrT, vrE, adT, adE []float64
+	base, vr, adapt := runs[0], runs[1], runs[2]
+	out := &VictimReplicationResult{
+		Benches:         o.Benchmarks,
+		VRCompletion:    geoRatio(vr, base, completion),
+		VREnergy:        geoRatio(vr, base, energy),
+		AdaptCompletion: geoRatio(adapt, base, completion),
+		AdaptEnergy:     geoRatio(adapt, base, energy),
+	}
 	var hits, misses uint64
-	for _, bench := range o.Benchmarks {
-		b := raw[bench]["base"]
-		v := raw[bench]["vr"]
-		a := raw[bench]["adapt"]
-		if bt := b.Time.Total(); bt > 0 {
-			vrT = append(vrT, v.Time.Total()/bt)
-			adT = append(adT, a.Time.Total()/bt)
-		}
-		if be := b.Energy.Total(); be > 0 {
-			vrE = append(vrE, v.Energy.Total()/be)
-			adE = append(adE, a.Energy.Total()/be)
-		}
+	for _, v := range vr {
 		hits += v.ReplicaHits
 		misses += v.L1D.TotalMisses()
 	}
-	out.VRCompletion = stats.GeoMean(vrT)
-	out.VREnergy = stats.GeoMean(vrE)
-	out.AdaptCompletion = stats.GeoMean(adT)
-	out.AdaptEnergy = stats.GeoMean(adE)
 	if misses > 0 {
 		out.ReplicaHitRate = float64(hits) / float64(misses)
 	}

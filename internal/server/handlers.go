@@ -99,32 +99,45 @@ func execScaling(ctx context.Context, s *Server, q *Request, o experiments.Optio
 	return experiments.PerformanceScaling(o, counts)
 }
 
-// execFigures regenerates one paper artifact by name.
+// execFigures regenerates one paper artifact by name (validate admits
+// only the names in figures).
 func execFigures(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
-	switch q.Figure {
-	case "fig1", "fig2", "fig1and2":
-		return experiments.Fig1And2(o)
-	case "fig11":
+	return figures[q.Figure](ctx, s, q, o)
+}
+
+// figures maps each /v1/experiments/figures artifact name to its
+// execution; validate and execFigures both read it.
+var figures = map[string]execFunc{
+	"fig1":     execFig1And2,
+	"fig2":     execFig1And2,
+	"fig1and2": execFig1And2,
+	"fig11": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		sw, err := experiments.RunPCTSweep(o, experiments.Fig11PCTs)
 		if err != nil {
 			return nil, err
 		}
 		return sw.Fig11(), nil
-	case "fig12":
+	},
+	"fig12": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		return experiments.Fig12(o)
-	case "fig13":
+	},
+	"fig13": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		return experiments.Fig13(o)
-	case "fig14":
+	},
+	"fig14": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		return experiments.Fig14(o)
-	case "storage":
+	},
+	"storage": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		return experiments.Storage(s.requestConfig(q)), nil
-	case "storage-scaling":
+	},
+	"storage-scaling": func(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
 		return experiments.StorageScaling(q.CoreCounts), nil
-	default:
-		// validate() admits only knownFigures; keep a hard failure so the
-		// two sets cannot drift silently.
-		return nil, fmt.Errorf("figure %q passed validation but has no executor", q.Figure)
-	}
+	},
+}
+
+// execFig1And2 runs the baseline utilization histograms of Figures 1 and 2.
+func execFig1And2(ctx context.Context, s *Server, q *Request, o experiments.Options) (any, error) {
+	return experiments.Fig1And2(o)
 }
 
 // experimentHandler adapts an execFunc into the full request lifecycle:

@@ -200,14 +200,6 @@ func (q *Request) canonicalKey() string {
 	return string(b)
 }
 
-// knownFigures is the /v1/experiments/figures artifact set (execFigures
-// implements each).
-var knownFigures = map[string]bool{
-	"fig1": true, "fig2": true, "fig1and2": true, "fig11": true,
-	"fig12": true, "fig13": true, "fig14": true,
-	"storage": true, "storage-scaling": true,
-}
-
 // validate checks the request against the endpoint's required fields,
 // the server's caps and the simulator's configuration rules, returning a
 // 400 apiError describing the first problem — before the request costs
@@ -222,7 +214,7 @@ func (s *Server) validate(endpoint string, q *Request) error {
 		if q.Figure == "" {
 			return badRequest("missing required field \"figure\"")
 		}
-		if !knownFigures[q.Figure] {
+		if _, ok := figures[q.Figure]; !ok {
 			return badRequest("unknown figure %q (want fig1, fig2, fig11, fig12, fig13, fig14, storage or storage-scaling)", q.Figure)
 		}
 	}

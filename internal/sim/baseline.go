@@ -18,8 +18,8 @@ import (
 // and its policy, reached through pol: what the home decides for a request
 // (resolve) and what happens when a copy leaves (dropped).
 //
-// The sharer set is whatever dirPointersFor builds for the protocol:
-// ACKwise-p for adaptive, one pointer for Neat and a full map otherwise. A
+// The sharer set has the protocol's pointers (newProtocol): ACKwise-p for
+// adaptive, one pointer for Neat and a full map otherwise. A
 // full-map set never overflows, so the broadcast branches below are dead
 // for MESI, Dragon and hybrid. Victim-replication branches are guarded by
 // Config.VictimReplication, which Config.Validate accepts only under
@@ -33,6 +33,9 @@ type dirProtocol struct {
 	wordRequests bool
 	// classified: directory entries carry the locality classifier.
 	classified bool
+	// pointers: sharer pointers per directory entry; a set with more
+	// sharers overflows to a count.
+	pointers int
 	// noDirectory: the protocol keeps no directory state (DLS), so a miss
 	// reads the home L2 line only and no entry is ever allocated.
 	noDirectory bool

@@ -312,19 +312,22 @@ func TestResetReproducesFreshSimulator(t *testing.T) {
 
 			// Cross-config reset: detour through a different protocol kind,
 			// directory width and classifier shape (rebuilding those parts),
-			// then return to cfg. Still bit-identical.
+			// then return to cfg. Both legs are bit-identical to fresh runs.
 			detour := diffConfig()
 			detour.ProtocolKind = ProtocolMESI
 			detour.ClassifierK = 0
 			if p.name == "mesi" {
 				detour.ProtocolKind = ProtocolDragon
 			}
+			detourSim, detourRes := runProgram(t, detour, false, dirty)
 			if err := reused.Reset(detour); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reused.Run(trace.FromSlices(dirty)); err != nil {
+			resD, err := reused.Run(trace.FromSlices(dirty))
+			if err != nil {
 				t.Fatal(err)
 			}
+			compareStates(t, "detour reset", reused, resD, detourSim, detourRes)
 			if err := reused.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}

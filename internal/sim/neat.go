@@ -9,10 +9,10 @@ import (
 
 // Neat is a low-complexity coherence baseline (after the Neat proposal,
 // arXiv:2107.05453): MESI's policy on the access path, plus deliberately
-// bounded sharer metadata — a single sharer pointer plus an overflow count
-// instead of MESI's full map (dirPointersFor) — plus self-invalidation of
-// shared copies at synchronization points (the selfInvalidate capability,
-// which the engine's syncOp checks). A core arriving at a barrier or
+// bounded sharer metadata — a single sharer pointer (the pointers newProtocol
+// sets) plus an overflow count instead of MESI's full map — plus
+// self-invalidation of shared copies at synchronization points (the
+// selfInvalidate capability, which the engine's syncOp checks). A core arriving at a barrier or
 // acquiring a lock drops every Shared line from its L1 and deregisters at
 // the homes, which is what lets the directory stay tiny: most sharer sets
 // never outlive a synchronization epoch, and the rare overflowed set falls

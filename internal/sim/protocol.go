@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lacc/internal/cache"
-	"lacc/internal/core"
 	"lacc/internal/mem"
 	"lacc/internal/stats"
 )
@@ -21,11 +20,12 @@ import (
 //     (wordRequests), directory entries carry the locality classifier
 //     (classified), there is no directory (noDirectory), and cores drop
 //     their Shared lines at synchronization points (selfInvalidate);
-//   - the sharer set the directory tables are built with (dirPointersFor);
+//   - the sharer pointers per directory entry (pointers);
 //   - a two-method policy: the home's decision for one request (resolve)
 //     and the directory's reaction when a copy leaves (dropped).
 //
-// newProtocol sets the flags and the policy for Config.ProtocolKind:
+// newProtocol sets the flags, the pointer width and the policy for
+// Config.ProtocolKind:
 //
 //   - ProtocolAdaptive — the paper's locality-aware adaptive protocol
 //     (ACKwise directory, private/remote classification, remote word
@@ -81,14 +81,16 @@ type policy interface {
 	dropped(entry *dirEntry, id int, util uint32, why dropCause)
 }
 
-// newProtocol builds the directory machine for s's configured kind, which
-// Config.Validate has checked: its capability flags, the classifier pool
-// of a classifying kind, and its policy.
-func newProtocol(s *Simulator) *dirProtocol {
-	d := &dirProtocol{Simulator: s}
-	switch kind := s.cfg.protocolKind(); kind {
+// newProtocol builds the directory machine s runs for cfg's kind, which
+// Config.Validate has checked: its capability flags, its sharer pointers
+// per directory entry and its policy. Every kind but adaptive (ACKwise-p)
+// and Neat (one pointer) keeps a full map.
+func newProtocol(s *Simulator, cfg Config) *dirProtocol {
+	d := &dirProtocol{Simulator: s, pointers: cfg.Cores}
+	switch kind := cfg.protocolKind(); kind {
 	case ProtocolAdaptive:
 		d.wordRequests, d.classified = true, true
+		d.pointers = cfg.AckwisePointers
 		d.pol = adaptiveProtocol{d}
 	case ProtocolMESI:
 		d.pol = mesiProtocol{d}
@@ -100,17 +102,13 @@ func newProtocol(s *Simulator) *dirProtocol {
 		d.pol = dlsProtocol{d}
 	case ProtocolNeat:
 		d.selfInvalidate = true
+		d.pointers = 1
 		d.pol = mesiProtocol{d}
 	case ProtocolHybrid:
 		d.wordRequests, d.classified = true, true
 		d.pol = hybridProtocol{dragonProtocol{d}}
 	default:
 		panic(fmt.Sprintf("sim: unknown protocol %q", kind))
-	}
-	// Reset keeps a shape-compatible pool (with its slabs and reclaimed
-	// classifiers) across runs; build one only when absent.
-	if d.classified && (s.clsPool == nil || !s.clsPool.Matches(s.cfg.Cores, s.cfg.ClassifierK)) {
-		s.clsPool = core.NewClassifierPool(s.cfg.Cores, s.cfg.ClassifierK)
 	}
 	return d
 }

@@ -229,21 +229,6 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 	return s, nil
 }
 
-// dirPointersFor returns the per-entry sharer pointer count the directory
-// tables are built with: ACKwise-p for the adaptive protocol, a single
-// pointer for Neat's deliberately starved sharer metadata, and a full-map
-// vector for the remaining protocols regardless of AckwisePointers.
-func dirPointersFor(cfg Config) int {
-	switch cfg.protocolKind() {
-	case ProtocolAdaptive:
-		return cfg.AckwisePointers
-	case ProtocolNeat:
-		return 1
-	default:
-		return cfg.Cores
-	}
-}
-
 // Reset re-initializes the simulator for cfg so the next Run behaves
 // exactly as on a freshly constructed Simulator — same results bit for bit
 // — while reusing the allocated storage wherever the old and new
@@ -298,11 +283,11 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 
 	// The classifier pool survives a reset when a classifying protocol
-	// (adaptive or hybrid) keeps the same (cores, k) shape; outstanding
-	// classifiers are reclaimed from the old directory entries below, so
-	// slabs are never re-carved.
-	keepPool := !s.reference && s.clsPool != nil &&
-		(cfg.protocolKind() == ProtocolAdaptive || cfg.protocolKind() == ProtocolHybrid) &&
+	// keeps the same (cores, k) shape; outstanding classifiers are
+	// reclaimed from the old directory entries below, so slabs are never
+	// re-carved.
+	proto := newProtocol(s, cfg)
+	keepPool := !s.reference && s.clsPool != nil && proto.classified &&
 		s.clsPool.Matches(cfg.Cores, cfg.ClassifierK)
 	if keepPool && !fresh {
 		for i := range s.tiles {
@@ -315,19 +300,21 @@ func (s *Simulator) Reset(cfg Config) error {
 		}
 	}
 	if !keepPool {
-		s.clsPool = nil // newProtocol rebuilds it on demand
+		s.clsPool = nil
+		if proto.classified {
+			s.clsPool = core.NewClassifierPool(cfg.Cores, cfg.ClassifierK)
+		}
 	}
 
 	// The cache arrays and the directory tables have independent reuse
 	// conditions: a sweep flipping between ACKwise-p and full-map variants
 	// changes only the per-entry sharer pointer width, so the (much
 	// larger) tag arrays are kept and only the directories are recarved.
-	dirPointers := dirPointersFor(cfg)
 	sameCaches := !fresh && len(s.tiles) == cfg.Cores &&
 		old.L1ISizeKB == cfg.L1ISizeKB && old.L1IWays == cfg.L1IWays &&
 		old.L1DSizeKB == cfg.L1DSizeKB && old.L1DWays == cfg.L1DWays &&
 		old.L2SizeKB == cfg.L2SizeKB && old.L2Ways == cfg.L2Ways
-	sameDir := sameCaches && dirPointersFor(old) == dirPointers
+	sameDir := sameCaches && s.proto.pointers == proto.pointers
 	if sameCaches {
 		for i := range s.tiles {
 			t := &s.tiles[i]
@@ -337,7 +324,7 @@ func (s *Simulator) Reset(cfg Config) error {
 			if sameDir {
 				t.dir.clear()
 			} else {
-				t.dir.reshape(dirPointers)
+				t.dir.reshape(proto.pointers)
 			}
 		}
 	} else {
@@ -347,7 +334,7 @@ func (s *Simulator) Reset(cfg Config) error {
 				l1i: cache.New(cfg.L1ISizeKB*1024, cfg.L1IWays),
 				l1d: cache.New(cfg.L1DSizeKB*1024, cfg.L1DWays),
 				l2:  cache.New(cfg.L2SizeKB*1024, cfg.L2Ways),
-				dir: newTileDir(dirPointers, s.reference),
+				dir: newTileDir(proto.pointers, s.reference),
 			}
 		}
 	}
@@ -363,7 +350,7 @@ func (s *Simulator) Reset(cfg Config) error {
 
 	s.cfg = cfg
 	s.fetch8 = fetchFixedPoint(cfg.FetchPerOp)
-	s.proto = newProtocol(s)
+	s.proto = proto
 	return nil
 }
 
