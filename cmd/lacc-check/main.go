@@ -41,6 +41,10 @@ type variant struct {
 	kind    sim.ProtocolKind
 	ackwise int // directory pointer override; 0 keeps the default (full-map)
 
+	// tweak, when set, adjusts the bounded configuration: the paper's
+	// adaptive axes that the six kinds alone never reach at 2 cores.
+	tweak func(*sim.Config)
+
 	// selfFault is the defect -self-test seeds: Dragon's update pushes are
 	// its sole write-propagation mechanism, the others rely on
 	// invalidations.
@@ -48,18 +52,23 @@ type variant struct {
 }
 
 var variants = []variant{
-	{"adaptive", sim.ProtocolAdaptive, 0, sim.Faults{DropInvalidations: true}},
-	{"adaptive-ackwise1", sim.ProtocolAdaptive, 1, sim.Faults{DropInvalidations: true}},
-	{"mesi", sim.ProtocolMESI, 0, sim.Faults{DropInvalidations: true}},
-	{"dragon", sim.ProtocolDragon, 0, sim.Faults{DropUpdates: true}},
-	{"dls", sim.ProtocolDLS, 0, sim.Faults{DropWordWrites: true}},
-	{"neat", sim.ProtocolNeat, 0, sim.Faults{DropInvalidations: true}},
-	{"hybrid", sim.ProtocolHybrid, 0, sim.Faults{DropUpdates: true}},
+	{"adaptive", sim.ProtocolAdaptive, 0, nil, sim.Faults{DropInvalidations: true}},
+	{"adaptive-ackwise1", sim.ProtocolAdaptive, 1, nil, sim.Faults{DropInvalidations: true}},
+	// Limited-1 at 2 cores: the only classifier that runs Section 3.4's
+	// replacement and majority vote in the 2-core model.
+	{"adaptive-k1", sim.ProtocolAdaptive, 0, func(c *sim.Config) { c.ClassifierK = 1 }, sim.Faults{DropInvalidations: true}},
+	// Adapt1-way (Section 3.7): demoted cores are never promoted back.
+	{"adaptive-oneway", sim.ProtocolAdaptive, 0, func(c *sim.Config) { c.Protocol.OneWay = true }, sim.Faults{DropInvalidations: true}},
+	{"mesi", sim.ProtocolMESI, 0, nil, sim.Faults{DropInvalidations: true}},
+	{"dragon", sim.ProtocolDragon, 0, nil, sim.Faults{DropUpdates: true}},
+	{"dls", sim.ProtocolDLS, 0, nil, sim.Faults{DropWordWrites: true}},
+	{"neat", sim.ProtocolNeat, 0, nil, sim.Faults{DropInvalidations: true}},
+	{"hybrid", sim.ProtocolHybrid, 0, nil, sim.Faults{DropUpdates: true}},
 }
 
 func main() {
 	fs := flag.NewFlagSet("lacc-check", flag.ExitOnError)
-	protocol := fs.String("protocol", "all", "protocol to check: adaptive, adaptive-ackwise1, mesi, dragon, dls, neat, hybrid, or all")
+	protocol := fs.String("protocol", "all", "protocol to check: adaptive, adaptive-ackwise1, adaptive-k1, adaptive-oneway, mesi, dragon, dls, neat, hybrid, or all")
 	cores := fs.Int("cores", 2, "cores in the model (state space grows steeply; 2-3 is exhaustive territory)")
 	depth := fs.Int("depth", 12, "maximum interleaving length")
 	maxStates := fs.Int("max-states", 1<<18, "visited-state bound")
@@ -84,6 +93,9 @@ func main() {
 			Config:    check.Bound(v.kind, *cores, v.ackwise),
 			MaxDepth:  *depth,
 			MaxStates: *maxStates,
+		}
+		if v.tweak != nil {
+			v.tweak(&opts.Config)
 		}
 		if *selfTest {
 			opts.Faults = v.selfFault

@@ -31,24 +31,37 @@ func TestHealthyProtocolsBounded(t *testing.T) {
 		name    string
 		kind    sim.ProtocolKind
 		ackwise int
+		tweak   func(*sim.Config)
 
 		states, transitions, depth int
 		truncated                  bool
 	}{
-		{"adaptive", sim.ProtocolAdaptive, 0, 705, 2392, 5, true},
-		{"adaptive-ackwise1", sim.ProtocolAdaptive, 1, 829, 2616, 5, true},
-		{"mesi", sim.ProtocolMESI, 0, 563, 2136, 5, true},
-		{"dragon", sim.ProtocolDragon, 0, 483, 1944, 5, true},
-		{"dls", sim.ProtocolDLS, 0, 25, 200, 3, false},
-		{"neat", sim.ProtocolNeat, 0, 679, 2360, 5, true},
-		{"hybrid", sim.ProtocolHybrid, 0, 655, 2232, 5, true},
+		{"adaptive", sim.ProtocolAdaptive, 0, nil, 705, 2392, 5, true},
+		{"adaptive-ackwise1", sim.ProtocolAdaptive, 1, nil, 829, 2616, 5, true},
+		{"adaptive-k1", sim.ProtocolAdaptive, 0, limited1, 855, 2648, 5, true},
+		{"adaptive-oneway", sim.ProtocolAdaptive, 0, oneWay, 705, 2392, 5, true},
+		{"mesi", sim.ProtocolMESI, 0, nil, 563, 2136, 5, true},
+		{"dragon", sim.ProtocolDragon, 0, nil, 483, 1944, 5, true},
+		{"dls", sim.ProtocolDLS, 0, nil, 25, 200, 3, false},
+		{"neat", sim.ProtocolNeat, 0, nil, 679, 2360, 5, true},
+		{"hybrid", sim.ProtocolHybrid, 0, nil, 655, 2232, 5, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			requireStateSpace(t, shallow(v.kind, v.ackwise), v.states, v.transitions, v.depth, v.truncated)
+			opts := shallow(v.kind, v.ackwise)
+			if v.tweak != nil {
+				v.tweak(&opts.Config)
+			}
+			requireStateSpace(t, opts, v.states, v.transitions, v.depth, v.truncated)
 		})
 	}
 }
+
+// limited1 and oneWay are lacc-check's adaptive-k1 and adaptive-oneway
+// variants: at 2 cores only a Limited-1 classifier runs Section 3.4's
+// replacement and majority vote, and Adapt1-way is Section 3.7.
+func limited1(c *sim.Config) { c.ClassifierK = 1 }
+func oneWay(c *sim.Config)   { c.Protocol.OneWay = true }
 
 // requireStateSpace runs opts and asserts it finds no violation and
 // explores exactly the given state space.
@@ -76,15 +89,23 @@ func requireStateSpace(t *testing.T, opts Options, states, transitions, depth in
 // above misses whatever a protocol does only deeper than depth 5.
 func TestCheckGateDepth12(t *testing.T) {
 	variants := []struct {
+		name                string
 		kind                sim.ProtocolKind
+		tweak               func(*sim.Config)
 		states, transitions int
 	}{
-		{sim.ProtocolAdaptive, 25268, 141968},
-		{sim.ProtocolMESI, 10363, 62056},
+		{"adaptive", sim.ProtocolAdaptive, nil, 25268, 141968},
+		{"mesi", sim.ProtocolMESI, nil, 10363, 62056},
+		{"adaptive-k1", sim.ProtocolAdaptive, limited1, 41435, 231400},
+		{"adaptive-oneway", sim.ProtocolAdaptive, oneWay, 27246, 149440},
 	}
 	for _, v := range variants {
-		t.Run(string(v.kind), func(t *testing.T) {
-			requireStateSpace(t, Options{Config: Bound(v.kind, 2, 0)}, v.states, v.transitions, 12, true)
+		t.Run(v.name, func(t *testing.T) {
+			opts := Options{Config: Bound(v.kind, 2, 0)}
+			if v.tweak != nil {
+				v.tweak(&opts.Config)
+			}
+			requireStateSpace(t, opts, v.states, v.transitions, 12, true)
 		})
 	}
 }
