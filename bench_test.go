@@ -231,7 +231,7 @@ func BenchmarkLimited3Classifier(b *testing.B) {
 	cls := core.NewClassifier(64, 3)
 	p := core.DefaultParams()
 	for i := 0; i < b.N; i++ {
-		st := cls.Lookup(i % 64)
+		st := core.Lookup(cls, i%64)
 		core.RemoteAccess(p, st, false, false)
 	}
 }
@@ -240,7 +240,7 @@ func BenchmarkCompleteClassifier(b *testing.B) {
 	cls := core.NewClassifier(64, 0)
 	p := core.DefaultParams()
 	for i := 0; i < b.N; i++ {
-		st := cls.Lookup(i % 64)
+		st := core.Lookup(cls, i%64)
 		core.Classify(p, st, uint32(i%8), i%2 == 0)
 	}
 }

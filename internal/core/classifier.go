@@ -1,55 +1,165 @@
 package core
 
-// Classifier tracks per-core classification state for one cache line. Two
-// implementations exist: the Complete classifier (state for every core,
-// Figure 6) and the Limited-k classifier (state for k cores plus majority
-// voting, Figure 7 and Section 3.4).
-type Classifier interface {
-	// Lookup returns mutable state for core, allocating or replacing a
-	// tracking entry as the policy allows. The returned state may be
-	// ephemeral when the classifier cannot track the core (Limited-k with
-	// no replacement candidate): mutations are then discarded, exactly as
-	// the hardware would drop them.
-	Lookup(core int) *CoreState
-	// ModeOf returns the core's current classification without allocating.
-	ModeOf(core int) Mode
-	// ForEachTracked visits every tracked core's state.
-	ForEachTracked(fn func(core int, st *CoreState))
-	// DeactivateRemoteExcept resets the remote utilization and clears the
-	// activity bit of every tracked remote sharer other than except: a
-	// write by another core restarts their locality measurement (Sections
-	// 3.2 and 3.4). It is a dedicated method — not a ForEachTracked
-	// closure — because it sits on the write miss path, where a captured
-	// closure would be the hot loop's only heap allocation.
-	DeactivateRemoteExcept(except int)
-	// Reset returns the classifier to its pristine state (all cores
-	// private, no tracked entries), allowing pooled reuse across
-	// directory entries.
-	Reset()
+// Classifier is one directory entry's locality classifier: the
+// per-(line, core) state of Figures 6 and 7 for the cores it tracks. It is
+// a view of backing storage, like coherence.SharerSet, so the simulator's
+// directory keeps every entry's classifier in one arena next to the sharer
+// identities.
+//
+// The storage is k slots plus one scratch slot (Slots). The Complete
+// classifier (Figure 6) is the case k = cores: slot i always holds core i.
+// The Limited-k classifier (Figure 7) fills free slots in order, replaces
+// an inactive core when all k are taken and classifies untracked cores by
+// majority vote (Section 3.4). The scratch slot is what Lookup returns
+// when Limited-k has no replacement candidate; its writes are thrown away,
+// exactly as the hardware would drop them.
+type Classifier struct {
+	slots []Slot // k tracked slots, then the scratch slot
 }
 
-// NewClassifier builds a classifier: limitedK <= 0 selects the Complete
-// classifier, otherwise the Limited-k classifier with k entries.
-func NewClassifier(cores, limitedK int) Classifier {
+// Slot is one classifier entry as the directory stores it: the tracked
+// core (-1 for a free entry) and its classification state.
+type Slot struct {
+	Core int16
+	CoreState
+}
+
+// Slots returns the storage a classifier for cores cores occupies, in
+// slots: limitedK <= 0 or >= cores selects the Complete classifier (cores
+// tracked slots), otherwise the Limited-k classifier (limitedK), plus the
+// scratch slot either way.
+func Slots(cores, limitedK int) int {
 	if limitedK <= 0 || limitedK >= cores {
-		return newComplete(cores)
+		return cores + 1
 	}
-	return newLimited(cores, limitedK)
+	return limitedK + 1
 }
 
-// Lookup is Classifier.Lookup with the dynamic dispatch peeled for the two
-// built-in implementations. It sits on the protocol's per-transaction hot
-// path, where the classifier is always one of the package's own types; the
-// type switch turns the interface call into direct (and, for Complete,
-// inlined) code while staying correct for external implementations.
-func Lookup(c Classifier, core int) *CoreState {
-	switch c := c.(type) {
-	case *limited:
-		return c.Lookup(core)
-	case *complete:
-		return &c.states[core]
-	default:
-		return c.Lookup(core)
+// NewClassifier allocates a pristine classifier for cores cores:
+// limitedK <= 0 (or >= cores) selects the Complete classifier, otherwise
+// the Limited-k classifier with k = limitedK entries.
+func NewClassifier(cores, limitedK int) *Classifier {
+	c := NewClassifierBacked(cores, make([]Slot, Slots(cores, limitedK)))
+	return &c
+}
+
+// NewClassifierBacked returns a pristine classifier for cores cores over
+// backing, whose length is its Slots: every core private (Figure 4,
+// "Initial"), the Complete classifier holding each core in its own slot
+// and Limited-k tracking none.
+func NewClassifierBacked(cores int, backing []Slot) Classifier {
+	k := len(backing) - 1
+	for i := range backing {
+		backing[i] = Slot{Core: -1}
+	}
+	if k == cores {
+		for i := 0; i < k; i++ {
+			backing[i].Core = int16(i)
+		}
+	}
+	return Classifier{slots: backing}
+}
+
+// Rebind moves the classifier's state into backing, which must be at least
+// as long as its current storage. The directory uses it when a table grow
+// or copy places the entry in another arena segment.
+func (c *Classifier) Rebind(backing []Slot) {
+	n := copy(backing, c.slots)
+	c.slots = backing[:n]
+}
+
+// Lookup returns mutable state for core, claiming or replacing a tracking
+// entry as the policy allows. When Limited-k cannot track the core the
+// returned state is the scratch slot, carrying the majority mode: writes
+// to it are discarded by the next such lookup. A core tracked in its own
+// slot — always, for Complete — is found without a scan.
+func Lookup(c *Classifier, core int) *CoreState {
+	s := c.slots
+	if core < len(s)-1 && int(s[core].Core) == core {
+		return &s[core].CoreState
+	}
+	return c.claim(core)
+}
+
+// claim is Lookup's Limited-k path (Section 3.4): the core's tracked
+// slot, else the first free slot (starting private, Section 3.2), else
+// the first inactive core's slot (starting in the majority mode), else the
+// scratch slot.
+func (c *Classifier) claim(core int) *CoreState {
+	tracked, scratch := c.split()
+	free := -1
+	for i := range tracked {
+		if id := tracked[i].Core; int(id) == core {
+			return &tracked[i].CoreState
+		} else if id < 0 && free < 0 {
+			free = i
+		}
+	}
+	if free >= 0 {
+		tracked[free] = Slot{Core: int16(core), CoreState: CoreState{Mode: ModePrivate}}
+		return &tracked[free].CoreState
+	}
+	for i := range tracked {
+		if !tracked[i].Active {
+			tracked[i] = Slot{Core: int16(core), CoreState: CoreState{Mode: c.majority()}}
+			return &tracked[i].CoreState
+		}
+	}
+	// No candidate: the list is unchanged and the requester operates with
+	// the majority mode; its counters are not retained.
+	*scratch = Slot{Core: -1, CoreState: CoreState{Mode: c.majority()}}
+	return &scratch.CoreState
+}
+
+// split returns the tracked slots and the scratch slot.
+func (c *Classifier) split() ([]Slot, *Slot) {
+	k := len(c.slots) - 1
+	return c.slots[:k], &c.slots[k]
+}
+
+// majority returns the majority vote of tracked modes. Ties and an empty
+// list fall back to private, the protocol's initial mode.
+func (c *Classifier) majority() Mode {
+	tracked, _ := c.split()
+	private, remote := 0, 0
+	for i := range tracked {
+		switch {
+		case tracked[i].Core < 0:
+		case tracked[i].Mode == ModePrivate:
+			private++
+		default:
+			remote++
+		}
+	}
+	if remote > private {
+		return ModeRemote
+	}
+	return ModePrivate
+}
+
+// ModeOf returns the core's current classification without claiming an
+// entry: its tracked mode, or the majority vote when untracked.
+func (c *Classifier) ModeOf(core int) Mode {
+	tracked, _ := c.split()
+	for i := range tracked {
+		if int(tracked[i].Core) == core {
+			return tracked[i].Mode
+		}
+	}
+	return c.majority()
+}
+
+// DeactivateRemoteExcept resets the remote utilization and clears the
+// activity bit of every tracked remote sharer other than except: a write
+// by another core restarts their locality measurement (Sections 3.2 and
+// 3.4).
+func (c *Classifier) DeactivateRemoteExcept(except int) {
+	tracked, _ := c.split()
+	for i := range tracked {
+		if st := &tracked[i]; st.Core >= 0 && int(st.Core) != except && st.Mode == ModeRemote {
+			st.RemoteUtil = 0
+			st.Active = false
+		}
 	}
 }
 
@@ -60,177 +170,16 @@ type Tracked struct {
 	CoreState
 }
 
-// AppendTracked appends c's tracked cores, in the order ForEachTracked
-// visits them, to dst and returns the extended slice. The built-in
-// classifiers are walked directly, so no callback escapes and a caller
-// reusing dst allocates nothing.
-func AppendTracked(dst []Tracked, c Classifier) []Tracked {
-	switch c := c.(type) {
-	case *complete:
-		for i := range c.states {
-			dst = append(dst, Tracked{Core: i, CoreState: c.states[i]})
+// AppendTracked appends c's tracked cores, in slot order, to dst and
+// returns the extended slice; a classifier without storage (the zero
+// value) appends nothing. A caller reusing dst allocates nothing.
+func AppendTracked(dst []Tracked, c *Classifier) []Tracked {
+	for i := 0; i < len(c.slots)-1; i++ {
+		if s := &c.slots[i]; s.Core >= 0 {
+			dst = append(dst, Tracked{Core: int(s.Core), CoreState: s.CoreState})
 		}
-	case *limited:
-		for i, id := range c.ids {
-			if id >= 0 {
-				dst = append(dst, Tracked{Core: int(id), CoreState: c.st[i]})
-			}
-		}
-	default:
-		// A separate variable keeps the closure's capture (and its heap
-		// cell) off the built-in paths.
-		out := dst
-		c.ForEachTracked(func(id int, st *CoreState) {
-			out = append(out, Tracked{Core: id, CoreState: *st})
-		})
-		return out
 	}
 	return dst
-}
-
-// complete tracks every core (Figure 6).
-type complete struct {
-	states []CoreState
-}
-
-func newComplete(cores int) *complete {
-	c := &complete{states: make([]CoreState, cores)}
-	// All cores start as private sharers (Figure 4, "Initial").
-	for i := range c.states {
-		c.states[i].Mode = ModePrivate
-	}
-	return c
-}
-
-func (c *complete) Lookup(core int) *CoreState { return &c.states[core] }
-func (c *complete) ModeOf(core int) Mode       { return c.states[core].Mode }
-
-func (c *complete) ForEachTracked(fn func(int, *CoreState)) {
-	for i := range c.states {
-		fn(i, &c.states[i])
-	}
-}
-
-func (c *complete) DeactivateRemoteExcept(except int) {
-	for i := range c.states {
-		if i != except && c.states[i].Mode == ModeRemote {
-			c.states[i].RemoteUtil = 0
-			c.states[i].Active = false
-		}
-	}
-}
-
-func (c *complete) Reset() {
-	for i := range c.states {
-		c.states[i] = CoreState{Mode: ModePrivate}
-	}
-}
-
-// limited tracks k cores; untracked cores are classified by majority vote
-// of the tracked modes (Section 3.4).
-type limited struct {
-	cores int
-	ids   []int16 // -1 marks a free entry
-	st    []CoreState
-	// scratch returned for untracked cores with no replacement candidate;
-	// mutations are dropped, mirroring hardware without a tracking entry.
-	scratch CoreState
-}
-
-func newLimited(cores, k int) *limited {
-	l := &limited{cores: cores, ids: make([]int16, k), st: make([]CoreState, k)}
-	for i := range l.ids {
-		l.ids[i] = -1
-	}
-	return l
-}
-
-// majority returns the majority vote of tracked modes. Ties and an empty
-// list fall back to private, the protocol's initial mode.
-func (l *limited) majority() Mode {
-	private, remote := 0, 0
-	for i, id := range l.ids {
-		if id < 0 {
-			continue
-		}
-		if l.st[i].Mode == ModePrivate {
-			private++
-		} else {
-			remote++
-		}
-	}
-	if remote > private {
-		return ModeRemote
-	}
-	return ModePrivate
-}
-
-func (l *limited) Lookup(core int) *CoreState {
-	free := -1
-	for i, id := range l.ids {
-		if id == int16(core) {
-			return &l.st[i]
-		}
-		if id < 0 && free < 0 {
-			free = i
-		}
-	}
-	if free >= 0 {
-		// A free entry starts the core in the protocol's initial private
-		// mode (Section 3.2 initialization).
-		l.ids[free] = int16(core)
-		l.st[free] = CoreState{Mode: ModePrivate}
-		return &l.st[free]
-	}
-	// Look for a replacement candidate: an inactive sharer (Section 3.4).
-	for i := range l.ids {
-		if !l.st[i].Active {
-			// The new core starts in the most probable mode: the majority
-			// vote of the tracked cores.
-			mode := l.majority()
-			l.ids[i] = int16(core)
-			l.st[i] = CoreState{Mode: mode}
-			return &l.st[i]
-		}
-	}
-	// No candidate: the list is unchanged and the requester operates with
-	// the majority mode; its counters are not retained.
-	l.scratch = CoreState{Mode: l.majority()}
-	return &l.scratch
-}
-
-func (l *limited) ModeOf(core int) Mode {
-	for i, id := range l.ids {
-		if id == int16(core) {
-			return l.st[i].Mode
-		}
-	}
-	return l.majority()
-}
-
-func (l *limited) ForEachTracked(fn func(int, *CoreState)) {
-	for i, id := range l.ids {
-		if id >= 0 {
-			fn(int(id), &l.st[i])
-		}
-	}
-}
-
-func (l *limited) DeactivateRemoteExcept(except int) {
-	for i, id := range l.ids {
-		if id >= 0 && int(id) != except && l.st[i].Mode == ModeRemote {
-			l.st[i].RemoteUtil = 0
-			l.st[i].Active = false
-		}
-	}
-}
-
-func (l *limited) Reset() {
-	for i := range l.ids {
-		l.ids[i] = -1
-		l.st[i] = CoreState{}
-	}
-	l.scratch = CoreState{}
 }
 
 // StorageBits returns the per-directory-entry classifier storage in bits for

@@ -32,7 +32,7 @@ func (s adaptiveProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr
 	}
 
 	// Classifier inputs are computed before this access touches the line.
-	st := core.Lookup(entry.cls, c.id)
+	st := core.Lookup(&entry.cls, c.id)
 	var minLA mem.Cycle
 	var full bool
 	if s.cfg.Protocol.UseTimestamp {
@@ -134,7 +134,7 @@ func (s adaptiveProtocol) dropRequesterCopy(c *coreState, la mem.Addr, entry *di
 // including L2 back-invalidations — classify as evictions; write
 // invalidations and page migrations as invalidations.
 func (s adaptiveProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
-	st := core.Lookup(entry.cls, id)
+	st := core.Lookup(&entry.cls, id)
 	was := st.Mode
 	core.Classify(s.cfg.Protocol, st, util, why == dropEvict || why == dropBackInval)
 	if was == core.ModePrivate && st.Mode == core.ModeRemote {

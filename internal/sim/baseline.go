@@ -5,7 +5,6 @@ import (
 
 	"lacc/internal/cache"
 	"lacc/internal/coherence"
-	"lacc/internal/core"
 	"lacc/internal/mem"
 	"lacc/internal/nuca"
 )
@@ -31,8 +30,9 @@ type dirProtocol struct {
 	// word, 2 flits). Otherwise requests are address-only: the written
 	// data stays in the L1 until write-back.
 	wordRequests bool
-	// classified: directory entries carry the locality classifier.
-	classified bool
+	// clsSlots: directory entries carry the locality classifier, in this
+	// many slots (core.Slots); 0 for the kinds that do not classify.
+	clsSlots int
 	// pointers: sharer pointers per directory entry; a set with more
 	// sharers overflows to a count.
 	pointers int
@@ -67,24 +67,6 @@ const (
 func (d *dirProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCause) {
 	if why != dropBackInval {
 		d.meter.DirUpdates++
-	}
-}
-
-// initDirEntry completes a freshly inserted directory entry (the sharer set
-// is already bound to the directory's identity arena). A classifying
-// protocol's entry gets a pristine classifier, all cores initially private
-// (Figure 4). The fast core draws classifiers from the slab pool; the
-// reference core allocates like the old implementation, so a defective
-// classifier Reset would surface as a differential mismatch.
-func (d *dirProtocol) initDirEntry(e *dirEntry) {
-	e.owner = -1
-	if !d.classified {
-		return
-	}
-	if d.reference {
-		e.cls = core.NewClassifier(d.cfg.Cores, d.cfg.ClassifierK)
-	} else {
-		e.cls = d.clsPool.Get()
 	}
 }
 
@@ -437,7 +419,7 @@ func (d *dirProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 				d.returnIDs(ids)
 			}
 		}
-		d.removeDirEntry(home, la, entry)
+		d.tiles[home].dir.remove(la)
 	}
 	if dirty {
 		ctrl := d.dram.ControllerOf(la)
@@ -464,7 +446,7 @@ func (d *dirProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 		}
 		if entry := ht.dir.probe(la); entry != nil {
 			d.invalidateSharers(oldHome, la, entry, l2line, -1, dropPageMove, t)
-			d.removeDirEntry(oldHome, la, entry)
+			ht.dir.remove(la)
 		}
 		old, _ := ht.l2.Invalidate(la)
 		ctrl := d.dram.ControllerOf(la)

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"lacc/internal/core"
 	"lacc/internal/mem"
 )
 
@@ -12,9 +14,11 @@ import (
 // occupancy bitmap against a Go map and a scan of every key. Random
 // insert and remove sequences (removal leaves tombstones) grow the table
 // past its initial capacity, interleaved with clearAll and reshape to a
-// new pointer width. After every operation forEach must visit exactly the
-// live slots, in slot order, each with the entry last written for its
-// line; after every clear no key, live or tombstoned, may remain.
+// new pointer width and classifier shape. After every operation forEach
+// must visit exactly the live slots, in slot order, each with the entry
+// last written for its line; after every clear no key, live or
+// tombstoned, may remain. Every insert must hand out a pristine
+// classifier, although the arena segment it reuses was written before.
 func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 	type visit struct {
 		la    mem.Addr
@@ -30,8 +34,10 @@ func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 		}
 		return out
 	}
+	const cores = 16
+	shapes := []int{0, core.Slots(cores, 3), core.Slots(cores, 0)}
 	rng := rand.New(rand.NewSource(5))
-	d := newDirTable(4)
+	d := newDirTable(4, shapes[1], cores)
 	ref := map[mem.Addr]int16{}
 	var lines []mem.Addr // ref's keys, for picking removal victims
 	grows, clears, removes := 0, 0, 0
@@ -41,7 +47,7 @@ func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 			if op == 0 {
 				d.clearAll()
 			} else {
-				d.reshape(1 + rng.Intn(8))
+				d.reshape(1+rng.Intn(8), shapes[clears%len(shapes)], cores)
 			}
 			clears++
 			for i, key := range d.keys {
@@ -76,6 +82,18 @@ func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 			if d.epoch != epoch {
 				grows++
 			}
+			if e.owner != -1 || e.sharers.Count() != 0 {
+				t.Fatalf("step %d: inserted entry %+v is not pristine", step, e)
+			}
+			if d.w > 0 {
+				got := core.AppendTracked(nil, &e.cls)
+				want := core.AppendTracked(nil, core.NewClassifier(cores, d.w-1))
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: inserted classifier tracks %+v, want %+v", step, got, want)
+				}
+				st := core.Lookup(&e.cls, step%cores)
+				st.Mode, st.RemoteUtil, st.Active = core.ModeRemote, uint16(step), true
+			}
 			e.owner = int16(step)
 			ref[la] = e.owner
 			lines = append(lines, la)
@@ -104,12 +122,13 @@ func TestDirTableOccupancyMatchesFullScan(t *testing.T) {
 
 // TestDirTableCopyFrom: copyFrom onto a table that holds lines of its own
 // leaves it identical to the source — keys (tombstones included),
-// occupancy bitmap, counts and every live entry — with each sharer set
-// holding the same identities in the destination's own arena, so the two
-// tables then evolve independently.
+// occupancy bitmap, counts and every live entry — with each sharer set and
+// classifier holding the same state in the destination's own arenas, so
+// the two tables then evolve independently.
 func TestDirTableCopyFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	src, dst := newDirTable(4), newDirTable(4)
+	w := core.Slots(64, 3)
+	src, dst := newDirTable(4, w, 64), newDirTable(4, w, 64)
 	churn := func(d *dirTable, base mem.Addr, n int) {
 		for i := 0; i < n; i++ {
 			la := base + mem.Addr(rng.Intn(1<<10))<<mem.LineShift
@@ -123,21 +142,32 @@ func TestDirTableCopyFrom(t *testing.T) {
 				if id := rng.Intn(64); !e.sharers.Contains(id) {
 					e.sharers.Add(id)
 				}
+				st := core.Lookup(&e.cls, rng.Intn(64))
+				st.Mode, st.RemoteUtil, st.Active = core.ModeRemote, uint16(rng.Intn(16)), rng.Intn(2) == 0
 			}
 		}
 	}
 	for round := 0; round < 30; round++ {
 		churn(src, 0, rng.Intn(1500))
 		churn(dst, 1<<30, rng.Intn(1500))
-		dst.copyFrom(src, nil)
+		dst.copyFrom(src)
 		if !slices.Equal(dst.keys, src.keys) || !slices.Equal(dst.occ, src.occ) ||
 			dst.live != src.live || dst.dead != src.dead {
 			t.Fatalf("round %d: keys, bitmap or counts differ after copy", round)
 		}
 		src.forEach(func(la mem.Addr, se *dirEntry) {
 			de := dst.probe(la)
-			if de.owner != se.owner || !slices.Equal(de.sharers.Identified(), se.sharers.Identified()) {
+			if de.owner != se.owner || !slices.Equal(de.sharers.Identified(), se.sharers.Identified()) ||
+				!slices.Equal(core.AppendTracked(nil, &de.cls), core.AppendTracked(nil, &se.cls)) {
 				t.Fatalf("round %d: %#x copied as %+v, source %+v", round, la, de, se)
+			}
+			// Nor may a write through the copy's classifier.
+			if tr := core.AppendTracked(nil, &se.cls); len(tr) > 0 {
+				before := tr[0].RemoteUtil
+				core.Lookup(&de.cls, tr[0].Core).RemoteUtil = before + 1
+				if core.Lookup(&se.cls, tr[0].Core).RemoteUtil != before {
+					t.Fatalf("round %d: %#x classifier aliases the source's arena", round, la)
+				}
 			}
 			// A write through the copy's identity list must not reach the
 			// source's arena.
@@ -148,5 +178,13 @@ func TestDirTableCopyFrom(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDirEntrySize: the directory entry stays within its 104-byte record
+// (on 64-bit platforms), the classifier's slice header included.
+func TestDirEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n > 104 {
+		t.Fatalf("dirEntry is %d bytes, want at most 104", n)
 	}
 }

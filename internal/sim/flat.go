@@ -11,9 +11,9 @@ package sim
 //
 // This file replaces them with open-addressed tables (linear probing,
 // power-of-two capacity, fibonacci hashing of mem.LineKey) whose values
-// live inline in the slot array, and with a per-table identity arena that
-// backs every directory slot's sharer set. The directory table is
-// specialized here (it needs tombstones and the arena); the plain
+// live inline in the slot array, and with per-table arenas that back every
+// directory slot's sharer set and locality classifier. The directory table
+// is specialized here (it needs tombstones and the arenas); the plain
 // key-value stores share internal/flatmap. The map-based layout survives
 // unchanged behind the same accessors as the reference core (newReference),
 // which the differential tests replay against the flat core to prove
@@ -49,14 +49,17 @@ const (
 
 // dirTable is the flat per-tile directory: an open-addressed table whose
 // keys and entries live in parallel arrays — probe chains scan the packed
-// 8-byte key array (several slots per hardware cache line) and touch an
-// 80-byte dirEntry record only on the final hit, mirroring the cache
+// 8-byte key array (several slots per hardware cache line) and touch a
+// 104-byte dirEntry record only on the final hit, mirroring the cache
 // package's packed tag arrays. Each slot owns a fixed p-pointer segment of
 // the table's identity arena, handed to the slot's sharer set at insert,
-// so a directory entry's whole footprint — entry, sharer identities — is
-// flat arrays with no per-entry allocation. Because the key array is
-// authoritative, wholesale clearing only wipes keys: entry records behind
-// free slots are unreachable and re-initialized on insertion. An
+// and a fixed w-slot segment of its classifier arena (w = core.Slots, 0
+// for kinds that do not classify), bound to a pristine classifier at
+// insert, so a directory entry's whole footprint — entry, sharer
+// identities, classifier — is flat arrays with no per-entry allocation.
+// Because the key array is authoritative, wholesale clearing only wipes
+// keys: entry records and arena segments behind free slots are unreachable
+// and re-initialized on insertion. An
 // occupancy bitmap over the key array (flatmap.Occupancy, one bit per
 // 8-slot block, raised by insert and grow) lets clearAll and forEach skip
 // blocks that have held no key since the last clear.
@@ -72,6 +75,9 @@ type dirTable struct {
 	occ     flatmap.Occupancy // blocks of keys that may be non-empty
 	arena   []int16           // len(keys) * p sharer identities
 	p       int               // sharer pointers per entry
+	cls     []core.Slot       // len(keys) * w classifier slots
+	w       int               // classifier slots per entry; 0 without one
+	cores   int               // the classifiers' core count
 	mask    uint64
 	shift   uint
 	live    int
@@ -86,8 +92,8 @@ type dirTable struct {
 // dirTableInitialSlots matches the old map's size hint.
 const dirTableInitialSlots = 1024
 
-func newDirTable(p int) *dirTable {
-	d := &dirTable{p: p}
+func newDirTable(p, w, cores int) *dirTable {
+	d := &dirTable{p: p, w: w, cores: cores}
 	d.alloc(dirTableInitialSlots)
 	return d
 }
@@ -97,6 +103,7 @@ func (d *dirTable) alloc(capacity int) {
 	d.entries = make([]dirEntry, capacity)
 	d.occ = flatmap.NewOccupancy(capacity)
 	d.arena = make([]int16, capacity*d.p)
+	d.cls = make([]core.Slot, capacity*d.w)
 	d.mask = uint64(capacity - 1)
 	d.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
 	d.live, d.dead = 0, 0
@@ -108,6 +115,20 @@ func (d *dirTable) alloc(capacity int) {
 func (d *dirTable) backing(i uint64) []int16 {
 	base := int(i) * d.p
 	return d.arena[base : base : base+d.p]
+}
+
+// clsBacking returns slot i's w-slot segment of the classifier arena.
+func (d *dirTable) clsBacking(i uint64) []core.Slot {
+	base := int(i) * d.w
+	return d.cls[base : base+d.w : base+d.w]
+}
+
+// rebind points entry i's sharer set and classifier at slot i's arena
+// segments, moving their contents there.
+func (d *dirTable) rebind(i uint64) {
+	e := &d.entries[i]
+	e.sharers.Rebind(d.backing(i))
+	e.cls.Rebind(d.clsBacking(i))
 }
 
 func (d *dirTable) probe(la mem.Addr) *dirEntry {
@@ -134,8 +155,9 @@ func (d *dirTable) probeIdx(la mem.Addr) int {
 	}
 }
 
-// insert claims a slot for la and returns its entry, zeroed except for the
-// arena-backed sharer set. The line must not be present.
+// insert claims a slot for la and returns its entry: no owner, an empty
+// sharer set and a pristine classifier (all cores private, Figure 4), both
+// in the slot's arena segments. The line must not be present.
 func (d *dirTable) insert(la mem.Addr) *dirEntry {
 	if (d.live+d.dead+1)*4 > len(d.keys)*3 {
 		d.grow()
@@ -168,7 +190,13 @@ func (d *dirTable) insert(la mem.Addr) *dirEntry {
 	}
 	d.keys[target] = key
 	d.occ.Mark(uint64(target))
-	d.entries[target] = dirEntry{sharers: coherence.NewSharerSetBacked(d.p, d.backing(uint64(target)))}
+	d.entries[target] = dirEntry{
+		owner:   -1,
+		sharers: coherence.NewSharerSetBacked(d.p, d.backing(uint64(target))),
+	}
+	if d.w > 0 {
+		d.entries[target].cls = core.NewClassifierBacked(d.cores, d.clsBacking(uint64(target)))
+	}
 	d.live++
 	return &d.entries[target]
 }
@@ -187,7 +215,7 @@ func (d *dirTable) remove(la mem.Addr) {
 
 // grow rehashes into a table sized for the live population (doubling when
 // genuinely full, merely dropping tombstones otherwise), rebinding every
-// entry's sharer identities into the new arena.
+// entry's sharer identities and classifier into the new arenas.
 func (d *dirTable) grow() {
 	capacity := len(d.keys)
 	if (d.live+1)*2 >= capacity {
@@ -206,7 +234,7 @@ func (d *dirTable) grow() {
 		d.keys[i] = key
 		d.occ.Mark(i)
 		d.entries[i] = oldEntries[oi]
-		d.entries[i].sharers.Rebind(d.backing(i))
+		d.rebind(i)
 		d.live++
 	}
 }
@@ -214,9 +242,9 @@ func (d *dirTable) grow() {
 // clearAll empties the table, keeping its grown capacity. Only the key
 // array's flagged blocks are wiped (tombstones sit in flagged blocks too):
 // entry records behind freed slots are unreachable (probe, forEach and
-// insert all gate on keys) and re-initialized on insertion, and the
-// sharer-identity arena needs no wiping either — every insert rebinds the
-// slot's segment as a zero-length set.
+// insert all gate on keys) and re-initialized on insertion, and the arenas
+// need no wiping either — every insert binds the slot's segments as an
+// empty sharer set and a pristine classifier.
 func (d *dirTable) clearAll() {
 	if d.live == 0 && d.dead == 0 {
 		return
@@ -226,35 +254,39 @@ func (d *dirTable) clearAll() {
 	d.live, d.dead = 0, 0
 }
 
-// reshape empties the table and re-carves its identity arena for a new
-// per-entry pointer count, reusing the slot array (whose capacity is the
-// dominant allocation). Sweeps that flip between ACKwise-p and full-map
-// variants reshape instead of rebuilding.
-func (d *dirTable) reshape(p int) {
+// reshape empties the table and re-carves its arenas for a new per-entry
+// pointer count p and classifier shape (w slots for cores cores), reusing
+// the slot array (whose capacity is the dominant allocation) and each
+// arena's capacity. Sweeps that flip between ACKwise-p and full-map
+// variants, or between classifying and classifier-free kinds, reshape
+// instead of rebuilding.
+func (d *dirTable) reshape(p, w, cores int) {
 	d.clearAll()
-	if p == d.p {
-		return
-	}
-	d.p = p
-	if need := len(d.keys) * p; cap(d.arena) >= need {
-		d.arena = d.arena[:need]
-	} else {
-		d.arena = make([]int16, need)
-	}
+	d.p, d.w, d.cores = p, w, cores
+	d.arena = resize(d.arena, len(d.keys)*p)
+	d.cls = resize(d.cls, len(d.keys)*w)
 }
 
-// copyFrom makes d an exact copy of src, which must have the same pointer
-// count: capacity, slot layout, keys, occupancy bitmap and every live
-// entry. d's live classifiers go back to pool, each copied sharer set is
-// rebound to d's own arena and each classifier is cloned from pool, so
-// nothing d holds aliases src. Blocks src has not flagged hold only empty
-// keys, so one walk over the blocks either table flags clears d's stale
-// keys and copies src's. When src has grown to another capacity, d's
-// arrays (and the classifiers of their entries) are dropped and
-// reallocated.
-func (d *dirTable) copyFrom(src *dirTable, pool *core.ClassifierPool) {
-	if d.p != src.p {
-		panic(fmt.Sprintf("sim: directory copy of %d-pointer entries into %d-pointer ones", src.p, d.p))
+// resize returns a with length n, reallocating only when its capacity is
+// short. The contents are not kept.
+func resize[T any](a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:n]
+	}
+	return make([]T, n)
+}
+
+// copyFrom makes d an exact copy of src, which must have the same entry
+// shape: capacity, slot layout, keys, occupancy bitmap and every live
+// entry. Each copied sharer set and classifier is rebound to d's own
+// arenas, so nothing d holds aliases src. Blocks src has not flagged hold
+// only empty keys, so one walk over the blocks either table flags clears
+// d's stale keys and copies src's. When src has grown to another
+// capacity, d's arrays are dropped and reallocated.
+func (d *dirTable) copyFrom(src *dirTable) {
+	if d.p != src.p || d.w != src.w || d.cores != src.cores {
+		panic(fmt.Sprintf("sim: directory copy of (%d pointers, %d classifier slots) entries into (%d, %d) ones",
+			src.p, src.w, d.p, d.w))
 	}
 	if len(d.keys) != len(src.keys) {
 		d.alloc(len(src.keys))
@@ -262,21 +294,13 @@ func (d *dirTable) copyFrom(src *dirTable, pool *core.ClassifierPool) {
 	d.occ.Union(src.occ)
 	d.occ.ForEach(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := &d.entries[i]
-			if key := d.keys[i]; key != dirKeyEmpty && key != dirKeyDead && e.cls != nil {
-				pool.Put(e.cls)
-				e.cls = nil
-			}
 			key := src.keys[i]
 			d.keys[i] = key
 			if key == dirKeyEmpty || key == dirKeyDead {
 				continue
 			}
-			*e = src.entries[i]
-			e.sharers.Rebind(d.backing(uint64(i)))
-			if e.cls != nil {
-				e.cls = pool.Clone(e.cls)
-			}
+			d.entries[i] = src.entries[i]
+			d.rebind(uint64(i))
 		}
 	})
 	copy(d.occ, src.occ)
@@ -297,18 +321,22 @@ func (d *dirTable) forEach(fn func(la mem.Addr, e *dirEntry)) {
 
 // tileDir is the per-tile directory handle: the flat table in the fast
 // core, a plain Go map in the reference core. Exactly one of the two
-// representations is active.
+// representations is active. The reference core gives each entry its own
+// freshly allocated sharer identities and classifier slots, so the
+// differential tests compare the flat arenas against independent storage.
 type tileDir struct {
 	flat *dirTable
 	ref  map[mem.Addr]*dirEntry
-	p    int
+	// p sharer pointers and w classifier slots for cores cores per entry
+	// (see dirTable).
+	p, w, cores int
 }
 
-func newTileDir(p int, reference bool) tileDir {
+func newTileDir(p, w, cores int, reference bool) tileDir {
 	if reference {
-		return tileDir{ref: make(map[mem.Addr]*dirEntry, dirTableInitialSlots), p: p}
+		return tileDir{ref: make(map[mem.Addr]*dirEntry, dirTableInitialSlots), p: p, w: w, cores: cores}
 	}
-	return tileDir{flat: newDirTable(p), p: p}
+	return tileDir{flat: newDirTable(p, w, cores), p: p, w: w, cores: cores}
 }
 
 func (d *tileDir) probe(la mem.Addr) *dirEntry {
@@ -351,7 +379,10 @@ func (d *tileDir) probeHinted(h *dirSlotHint, home int, la mem.Addr) *dirEntry {
 
 func (d *tileDir) insert(la mem.Addr) *dirEntry {
 	if d.ref != nil {
-		e := &dirEntry{sharers: coherence.NewSharerSet(d.p)}
+		e := &dirEntry{owner: -1, sharers: coherence.NewSharerSet(d.p)}
+		if d.w > 0 {
+			e.cls = core.NewClassifierBacked(d.cores, make([]core.Slot, d.w))
+		}
 		d.ref[la] = e
 		return e
 	}
@@ -392,15 +423,15 @@ func (d *tileDir) clear() {
 	d.flat.clearAll()
 }
 
-// reshape empties the directory and adopts a new per-entry pointer count,
-// reusing storage where the representation allows (see dirTable.reshape).
-func (d *tileDir) reshape(p int) {
-	d.p = p
+// reshape empties the directory and adopts a new entry shape, reusing
+// storage where the representation allows (see dirTable.reshape).
+func (d *tileDir) reshape(p, w, cores int) {
+	d.p, d.w, d.cores = p, w, cores
 	if d.ref != nil {
 		clear(d.ref)
 		return
 	}
-	d.flat.reshape(p)
+	d.flat.reshape(p, w, cores)
 }
 
 // The per-core miss-classification history and the golden/DRAM version

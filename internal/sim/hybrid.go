@@ -44,7 +44,7 @@ func (p hybridProtocol) resolve(c *coreState, kind mem.AccessKind, la mem.Addr, 
 	}
 	// The requester is an active private sharer; the activity bit drives
 	// the Limited-k replacement policy.
-	core.Lookup(entry.cls, c.id).Active = true
+	core.Lookup(&entry.cls, c.id).Active = true
 	return tEnd, sharersLat, hCached
 }
 
@@ -69,7 +69,7 @@ func (p hybridProtocol) write(c *coreState, la mem.Addr, home int, entry *dirEnt
 			continue
 		}
 		var tAck mem.Cycle
-		if core.Lookup(entry.cls, id).Mode == core.ModeRemote {
+		if core.Lookup(&entry.cls, id).Mode == core.ModeRemote {
 			// Low-reuse sharer: invalidate, MESI-style.
 			tReq := p.mesh.Unicast(home, id, 1, tFan)
 			tAck = p.invalCopy(home, la, id, entry, l2line, dropWrite, tReq)
@@ -120,7 +120,7 @@ func (p hybridProtocol) dropped(entry *dirEntry, id int, util uint32, why dropCa
 // classify applies the PCT classification to one core's observed
 // utilization and counts mode transitions in both directions.
 func (p hybridProtocol) classify(entry *dirEntry, id int, util uint32, eviction bool) {
-	st := core.Lookup(entry.cls, id)
+	st := core.Lookup(&entry.cls, id)
 	was := st.Mode
 	core.Classify(p.cfg.Protocol, st, util, eviction)
 	if was == core.ModePrivate && st.Mode == core.ModeRemote {

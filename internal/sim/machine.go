@@ -97,8 +97,8 @@ func NewMachineWithFaults(cfg Config, f Faults) (*Machine, error) {
 func (m *Machine) CopyFrom(src *Machine) { m.s.copyFrom(src.s) }
 
 // copyFrom is Machine.CopyFrom. It copies the caches (tags, lines, LRU
-// clock and counters), the directory tables (sharer sets rebound to s's
-// arenas, classifiers cloned into s's pool), the per-core contexts with
+// clock and counters), the directory tables (sharer sets and classifiers
+// rebound to s's arenas), the per-core contexts with
 // their history tables, the version stores, the R-NUCA page table, mesh
 // and DRAM timing, and the counters. MRU hints are dropped: they point
 // into src. The directory machine is not copied: its flags follow from the
@@ -124,7 +124,7 @@ func (s *Simulator) copyFrom(src *Simulator) {
 		t.l1i.CopyFrom(st.l1i)
 		t.l1d.CopyFrom(st.l1d)
 		t.l2.CopyFrom(st.l2)
-		t.dir.flat.copyFrom(st.dir.flat, s.clsPool)
+		t.dir.flat.copyFrom(st.dir.flat)
 	}
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -316,9 +316,7 @@ func (m *Machine) snapshotLine(ls *LineSnapshot, la mem.Addr) {
 			}
 			slices.Sort(d.Sharers)
 			d.Unknown = e.sharers.Count() - len(ids)
-			if e.cls != nil {
-				d.Classifier = core.AppendTracked(d.Classifier, e.cls)
-			}
+			d.Classifier = core.AppendTracked(d.Classifier, &e.cls)
 			ls.Dir = d
 		}
 	}

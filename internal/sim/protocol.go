@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lacc/internal/cache"
+	"lacc/internal/core"
 	"lacc/internal/mem"
 	"lacc/internal/stats"
 )
@@ -18,7 +19,7 @@ import (
 //
 //   - capability flags on the machine: write requests carry the word
 //     (wordRequests), directory entries carry the locality classifier
-//     (classified), there is no directory (noDirectory), and cores drop
+//     (clsSlots), there is no directory (noDirectory), and cores drop
 //     their Shared lines at synchronization points (selfInvalidate);
 //   - the sharer pointers per directory entry (pointers);
 //   - a two-method policy: the home's decision for one request (resolve)
@@ -83,13 +84,15 @@ type policy interface {
 
 // newProtocol builds the directory machine s runs for cfg's kind, which
 // Config.Validate has checked: its capability flags, its sharer pointers
-// per directory entry and its policy. Every kind but adaptive (ACKwise-p)
-// and Neat (one pointer) keeps a full map.
+// and classifier slots per directory entry and its policy. Every kind but
+// adaptive (ACKwise-p) and Neat (one pointer) keeps a full map; adaptive
+// and hybrid classify.
 func newProtocol(s *Simulator, cfg Config) *dirProtocol {
 	d := &dirProtocol{Simulator: s, pointers: cfg.Cores}
+	clsSlots := core.Slots(cfg.Cores, cfg.ClassifierK)
 	switch kind := cfg.protocolKind(); kind {
 	case ProtocolAdaptive:
-		d.wordRequests, d.classified = true, true
+		d.wordRequests, d.clsSlots = true, clsSlots
 		d.pointers = cfg.AckwisePointers
 		d.pol = adaptiveProtocol{d}
 	case ProtocolMESI:
@@ -105,7 +108,7 @@ func newProtocol(s *Simulator, cfg Config) *dirProtocol {
 		d.pointers = 1
 		d.pol = mesiProtocol{d}
 	case ProtocolHybrid:
-		d.wordRequests, d.classified = true, true
+		d.wordRequests, d.clsSlots = true, clsSlots
 		d.pol = hybridProtocol{dragonProtocol{d}}
 	default:
 		panic(fmt.Sprintf("sim: unknown protocol %q", kind))
@@ -273,7 +276,6 @@ func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cyc
 			panic(fmt.Sprintf("sim: directory entry without L2 line %#x", la))
 		}
 		entry = ht.dir.insert(la)
-		d.initDirEntry(entry)
 	} else {
 		entry = ht.dir.probeHinted(&c.dirHint, home, la)
 	}

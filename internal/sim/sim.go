@@ -44,13 +44,13 @@ const codeBase mem.Addr = 1 << 40
 
 // dirEntry is a directory entry integrated with an L2 line: MESI state,
 // ACKwise sharer list and the locality classifier of the paper. Entries are
-// stored by value inside the flat directory table (see flat.go); only the
-// adaptive protocol populates cls, drawing from the simulator's classifier
-// pool.
+// stored by value inside the flat directory table (see flat.go), whose
+// arenas hold the sharer identities and, for the classifying kinds
+// (adaptive and hybrid), the classifier slots; otherwise cls has none.
 type dirEntry struct {
 	state     coherence.State
-	sharers   coherence.SharerSet
 	owner     int16
+	sharers   coherence.SharerSet
 	busyUntil mem.Cycle
 	cls       core.Classifier
 }
@@ -168,11 +168,6 @@ type Simulator struct {
 
 	counters
 
-	// clsPool recycles per-entry classifiers in the fast core (adaptive
-	// protocol only); the reference core allocates fresh ones like the old
-	// implementation did, so a broken Reset would show up differentially.
-	clsPool *core.ClassifierPool
-
 	// Transaction scratch, reused to keep the hot path allocation-free:
 	// idScratch is a free-list of sharer-identity snapshots taken before
 	// mutating multicast loops; the broadcast buffers hold per-tile arrival
@@ -232,8 +227,8 @@ func newSimulator(cfg Config, reference bool) (*Simulator, error) {
 // Reset re-initializes the simulator for cfg so the next Run behaves
 // exactly as on a freshly constructed Simulator — same results bit for bit
 // — while reusing the allocated storage wherever the old and new
-// configurations agree: the flat directory/history/version tables, cache
-// tag arrays, classifier slabs, mesh and DRAM queues are cleared in place
+// configurations agree: the flat directory/history/version tables and
+// their arenas, cache tag arrays, mesh and DRAM queues are cleared in place
 // instead of reallocated. Components whose geometry changed are rebuilt.
 // The experiment layer's worker pool calls this between jobs; sweeps
 // differ only in protocol parameters, so steady-state job turnover
@@ -282,39 +277,18 @@ func (s *Simulator) Reset(cfg Config) error {
 		s.dramVer.clear()
 	}
 
-	// The classifier pool survives a reset when a classifying protocol
-	// keeps the same (cores, k) shape; outstanding classifiers are
-	// reclaimed from the old directory entries below, so slabs are never
-	// re-carved.
 	proto := newProtocol(s, cfg)
-	keepPool := !s.reference && s.clsPool != nil && proto.classified &&
-		s.clsPool.Matches(cfg.Cores, cfg.ClassifierK)
-	if keepPool && !fresh {
-		for i := range s.tiles {
-			s.tiles[i].dir.forEach(func(_ mem.Addr, e *dirEntry) {
-				if e.cls != nil {
-					s.clsPool.Put(e.cls)
-					e.cls = nil
-				}
-			})
-		}
-	}
-	if !keepPool {
-		s.clsPool = nil
-		if proto.classified {
-			s.clsPool = core.NewClassifierPool(cfg.Cores, cfg.ClassifierK)
-		}
-	}
 
 	// The cache arrays and the directory tables have independent reuse
-	// conditions: a sweep flipping between ACKwise-p and full-map variants
-	// changes only the per-entry sharer pointer width, so the (much
-	// larger) tag arrays are kept and only the directories are recarved.
+	// conditions: a sweep flipping between ACKwise-p and full-map variants,
+	// or between classifying and classifier-free kinds, changes only the
+	// directory entry's shape, so the (much larger) tag arrays are kept and
+	// only the directories are recarved.
 	sameCaches := !fresh && len(s.tiles) == cfg.Cores &&
 		old.L1ISizeKB == cfg.L1ISizeKB && old.L1IWays == cfg.L1IWays &&
 		old.L1DSizeKB == cfg.L1DSizeKB && old.L1DWays == cfg.L1DWays &&
 		old.L2SizeKB == cfg.L2SizeKB && old.L2Ways == cfg.L2Ways
-	sameDir := sameCaches && s.proto.pointers == proto.pointers
+	sameDir := sameCaches && s.proto.pointers == proto.pointers && s.proto.clsSlots == proto.clsSlots
 	if sameCaches {
 		for i := range s.tiles {
 			t := &s.tiles[i]
@@ -324,7 +298,7 @@ func (s *Simulator) Reset(cfg Config) error {
 			if sameDir {
 				t.dir.clear()
 			} else {
-				t.dir.reshape(proto.pointers)
+				t.dir.reshape(proto.pointers, proto.clsSlots, cfg.Cores)
 			}
 		}
 	} else {
@@ -334,7 +308,7 @@ func (s *Simulator) Reset(cfg Config) error {
 				l1i: cache.New(cfg.L1ISizeKB*1024, cfg.L1IWays),
 				l1d: cache.New(cfg.L1DSizeKB*1024, cfg.L1DWays),
 				l2:  cache.New(cfg.L2SizeKB*1024, cfg.L2Ways),
-				dir: newTileDir(proto.pointers, s.reference),
+				dir: newTileDir(proto.pointers, proto.clsSlots, cfg.Cores, s.reference),
 			}
 		}
 	}
@@ -630,18 +604,6 @@ func (s *Simulator) checkVersion(ctx string, la mem.Addr, ver uint64) {
 		panic(fmt.Sprintf("sim: coherence violation at %s: line %#x version %d, golden %d",
 			ctx, la, ver, want))
 	}
-}
-
-// removeDirEntry releases la's directory entry at its home tile, recycling
-// the entry's classifier through the pool in the fast core.
-func (s *Simulator) removeDirEntry(home int, la mem.Addr, e *dirEntry) {
-	if e.cls != nil {
-		if !s.reference {
-			s.clsPool.Put(e.cls)
-		}
-		e.cls = nil
-	}
-	s.tiles[home].dir.remove(la)
 }
 
 // borrowIDs returns a reusable copy of src, so mutating multicast loops can
