@@ -184,15 +184,18 @@ func (p *Placement) ClassOf(a mem.Addr) (PageClass, bool) {
 
 // InstrHome returns the replica slice for an instruction line fetched by
 // `requester`: the line is rotationally interleaved among the 4 tiles of
-// the requester's cluster, so each cluster keeps its own replica.
+// the requester's cluster, so each cluster keeps its own replica. On a
+// mesh with an odd width or height the last cluster of that dimension is
+// clipped to the tiles that exist (2×1, 1×2 or 1×1).
 func (p *Placement) InstrHome(a mem.Addr, requester int) int {
 	x := requester % p.meshW
 	y := requester / p.meshW
 	baseX := (x / p.clusterW) * p.clusterW
 	baseY := (y / p.clusterH) * p.clusterH
-	n := p.clusterW * p.clusterH
-	idx := int(mix64(mem.LineIndex(a)) % uint64(n))
-	dx := idx % p.clusterW
-	dy := idx / p.clusterW
+	w := min(p.clusterW, p.meshW-baseX)
+	h := min(p.clusterH, p.tiles/p.meshW-baseY)
+	idx := int(mix64(mem.LineIndex(a)) % uint64(w*h))
+	dx := idx % w
+	dy := idx / w
 	return (baseY+dy)*p.meshW + baseX + dx
 }

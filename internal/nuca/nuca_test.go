@@ -159,3 +159,29 @@ func pagesOf(ops []uint16) map[uint16]bool {
 	}
 	return m
 }
+
+// TestInstrHomeOnOddMeshes: on every mesh up to 16 tiles, odd widths and
+// heights included, each requester's instruction homes are tiles of the
+// mesh inside its own (possibly clipped) 2×2 cluster.
+func TestInstrHomeOnOddMeshes(t *testing.T) {
+	for tiles := 1; tiles <= 16; tiles++ {
+		for w := 1; w <= tiles; w++ {
+			if tiles%w != 0 {
+				continue
+			}
+			p := New(tiles, w)
+			for c := 0; c < tiles; c++ {
+				for i := 0; i < 16; i++ {
+					h := p.InstrHome(mem.Addr(i*64), c)
+					if h < 0 || h >= tiles {
+						t.Fatalf("%d tiles, width %d: core %d line %d homed at tile %d", tiles, w, c, i, h)
+					}
+					if h%w/2 != c%w/2 || h/w/2 != c/w/2 {
+						t.Fatalf("%d tiles, width %d: core %d homed line %d outside its cluster, at tile %d",
+							tiles, w, c, i, h)
+					}
+				}
+			}
+		}
+	}
+}

@@ -648,3 +648,25 @@ func TestRunClosesStreamsOnArityError(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryMeshGeometryRuns: every geometry Config.Validate accepts up to
+// 16 cores — odd widths and heights included, whose last instruction
+// cluster is clipped to the mesh — runs a short workload to completion
+// under the value checker.
+func TestEveryMeshGeometryRuns(t *testing.T) {
+	w, ok := workloads.ByName("matmul")
+	if !ok {
+		t.Fatal("matmul is not registered")
+	}
+	for cores := 1; cores <= 16; cores++ {
+		for width := 1; width <= cores; width++ {
+			if cores%width != 0 {
+				continue
+			}
+			res := run(t, testConfig(cores, width), w.Streams(workloads.Spec{Cores: cores, Scale: 0.02, Seed: 1})...)
+			if res.DataAccesses == 0 {
+				t.Fatalf("%d cores, width %d: no data accesses simulated", cores, width)
+			}
+		}
+	}
+}
