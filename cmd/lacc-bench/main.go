@@ -32,9 +32,11 @@ import (
 	"lacc/internal/workloads"
 )
 
+// allExperiments is what `all` renders, in order. fig1 renders Figures 1
+// and 2 together, so fig2 (the same output) is not listed again.
 var allExperiments = []string{
 	"table1", "table2", "storage", "storage-scaling",
-	"fig1", "fig2", "fig8", "fig9", "fig10", "fig11",
+	"fig1", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "fig13", "fig14", "ackwise", "scaling", "vr",
 	"protocols",
 }
