@@ -74,9 +74,10 @@ func (c *Classifier) Rebind(backing []Slot) {
 // to it are discarded by the next such lookup. A core tracked in its own
 // slot — always, for Complete — is found without a scan.
 func Lookup(c *Classifier, core int) *CoreState {
-	s := c.slots
-	if core < len(s)-1 && int(s[core].Core) == core {
-		return &s[core].CoreState
+	if core < len(c.slots)-1 {
+		if s := &c.slots[core]; int(s.Core) == core {
+			return &s.CoreState
+		}
 	}
 	return c.claim(core)
 }
