@@ -150,9 +150,7 @@ func (c *Cache) Reset() {
 // flagged hold only free tags, so one walk over the sets either cache
 // flags clears c's stale tags and copies src's, with the records of held
 // lines (records behind free ways are never read). Line pointers into
-// either cache stay pointers into that cache, so MRU hints taken on src
-// must not be used on c, and hints taken on c must be dropped, as after
-// Reset.
+// either cache stay pointers into that cache.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.sets != src.sets || c.ways != src.ways {
 		panic(fmt.Sprintf("cache: CopyFrom of a %dx%d cache into a %dx%d one",
@@ -198,20 +196,6 @@ func (c *Cache) Probe(a mem.Addr) *Line {
 		}
 	}
 	return nil
-}
-
-// Holds reports whether l — a line returned by this cache's Probe or
-// Insert since the last Reset, or nil — still holds a's cache line,
-// letting callers keep an MRU hint and skip the tag scan on repeated
-// same-line accesses. Line pointers stay valid for the cache's lifetime
-// (the backing array never relocates), so a stale hint is safe to
-// validate: an invalidated way fails the Valid check and a reallocated way
-// fails the address check. A line can occupy only one way (Insert panics
-// on resident lines), so a validated hint is exactly the line Probe would
-// return. Hints must not be carried across Reset, which frees ways without
-// rewriting their Line records.
-func (c *Cache) Holds(l *Line, a mem.Addr) bool {
-	return l != nil && l.Valid && l.Addr == mem.LineOf(a)
 }
 
 // Touch marks l most-recently-used and stamps its last-access time.

@@ -99,7 +99,9 @@ func (s *Simulator) instrFetch(c *coreState, gap uint32) {
 
 // instrFetchFloat is the float-accumulator formulation, retained for
 // configurations whose FetchPerOp is not a multiple of 1/8 (and as the
-// executable specification the fixed-point mode mirrors).
+// executable specification the fixed-point mode mirrors). It always walks
+// the L1-I: once the code footprint is resident every probe hits, which
+// yields the counters and program counter of instrFetch's counting path.
 func (s *Simulator) instrFetchFloat(c *coreState, gap uint32) {
 	instrs := s.cfg.FetchPerOp + float64(gap)
 	c.energyAcc += instrs
@@ -111,42 +113,21 @@ func (s *Simulator) instrFetchFloat(c *coreState, gap uint32) {
 	// Multiplying by 0.125 is exact (a power-of-two scale), so the
 	// accumulator trajectory is bit-identical to dividing by 8.
 	c.fetchAcc += instrs * 0.125
-	probes := 0
-	if c.l1iWarm {
-		// Warm walk, closed form: every probe is a hit, so the loop reduces
-		// to arithmetic. Decrementing the accumulator by the whole probe
-		// count is exact (subtracting small integers from these magnitudes
-		// loses no significand bits), and the program counter advances by
-		// probes modulo the code footprint — with probes capped at
-		// maxProbesPerOp (8) and CodeLines >= 1, one conditional wrap
-		// suffices unless the footprint is smaller than the cap.
-		if probes = int(c.fetchAcc); probes > maxProbesPerOp {
-			probes = maxProbesPerOp
+	l1i := s.tiles[c.id].l1i
+	for probes := 0; c.fetchAcc >= 1 && probes < maxProbesPerOp; probes++ {
+		c.fetchAcc--
+		c.pc++
+		if c.pc >= s.cfg.CodeLines {
+			c.pc = 0
 		}
-		c.fetchAcc -= float64(probes)
-		c.pc += probes
-		for c.pc >= s.cfg.CodeLines {
-			c.pc -= s.cfg.CodeLines
+		addr := codeBase + mem.Addr(c.pc)*mem.LineBytes
+		if line := l1i.Probe(addr); line != nil {
+			c.l1iHits++
+			l1i.Touch(line, c.now)
+			continue
 		}
-		c.l1iHits += uint64(probes)
-	} else {
-		l1i := s.tiles[c.id].l1i
-		for c.fetchAcc >= 1 && probes < maxProbesPerOp {
-			c.fetchAcc--
-			probes++
-			c.pc++
-			if c.pc >= s.cfg.CodeLines {
-				c.pc = 0
-			}
-			addr := codeBase + mem.Addr(c.pc)*mem.LineBytes
-			if line := l1i.Probe(addr); line != nil {
-				c.l1iHits++
-				l1i.Touch(line, c.now)
-				continue
-			}
-			c.l1iMisses++
-			s.instrMiss(c, addr)
-		}
+		c.l1iMisses++
+		s.instrMiss(c, addr)
 	}
 	if c.fetchAcc > float64(maxProbesPerOp) {
 		c.fetchAcc = float64(maxProbesPerOp)

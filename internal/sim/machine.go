@@ -98,11 +98,10 @@ func (m *Machine) CopyFrom(src *Machine) { m.s.copyFrom(src.s) }
 
 // copyFrom is Machine.CopyFrom. It copies the caches (tags, lines, LRU
 // clock and counters), the directory tables (sharer sets and classifiers
-// rebound to s's arenas), the per-core contexts with
-// their history tables, the version stores, the R-NUCA page table, mesh
-// and DRAM timing, and the counters. MRU hints are dropped: they point
-// into src. The directory machine is not copied: its flags follow from the
-// Config, and the replica drop it carries lives only within one
+// rebound to s's arenas), the per-core contexts with their history
+// tables, the version stores, the R-NUCA page table, mesh and DRAM timing,
+// and the counters. The directory machine is not copied: its flags follow
+// from the Config, and the replica drop it carries lives only within one
 // transaction. A Machine never runs streams, synchronization or the run
 // queue, so the cores' stream fields are nil on both sides, and locks,
 // barrier state and the run queue are empty and left alone.
@@ -132,7 +131,6 @@ func (s *Simulator) copyFrom(src *Simulator) {
 		h.flat.CopyFrom(src.cores[i].history.flat)
 		*c = src.cores[i]
 		c.history = h
-		c.lastL1D, c.l2Hint, c.l2HintTile, c.dirHint = nil, nil, 0, dirSlotHint{}
 	}
 	s.counters = src.counters
 }

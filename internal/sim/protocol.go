@@ -125,19 +125,10 @@ func newProtocol(s *Simulator, cfg Config) *dirProtocol {
 // or M copy (E upgrades to M silently) — or else the protocol's miss path:
 // a plain miss, or a write to an S copy (an upgrade under invalidation
 // protocols, an update transaction under Dragon).
-//
-// The tag probe is skipped when the core's MRU hint (lastL1D) still holds
-// the line: word-granular traces touch the same line back to back, and a
-// validated hint is exactly the line Probe would return.
 func (s *Simulator) dataAccess(c *coreState, kind mem.AccessKind, addr mem.Addr) {
 	la := mem.LineOf(addr)
-	l1 := s.tiles[c.id].l1d
-	line := c.lastL1D
-	if !l1.Holds(line, la) {
-		line = l1.Probe(la)
-	}
+	line := s.tiles[c.id].l1d.Probe(la)
 	if line != nil && (kind == mem.Read || line.State != lineS) {
-		c.lastL1D = line
 		s.l1DataHit(c, line, kind, la)
 		return
 	}
@@ -212,7 +203,7 @@ func (d *dirProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, 
 	l1l2 += tArr - t
 	t = tArr
 
-	entry, l2line, tDir, wait, fill := d.lookupEntry(c, home, la, t)
+	entry, l2line, tDir, wait, fill := d.lookupEntry(home, la, t)
 	offchip += fill
 	l1l2 += mem.Cycle(d.cfg.L2Latency)
 	t = tDir
@@ -236,31 +227,19 @@ func (d *dirProtocol) dirMiss(c *coreState, kind mem.AccessKind, addr mem.Addr, 
 	c.now = tEnd
 }
 
-// lookupEntry walks the home slice for la at time t for requester c: it
-// fills the L2 from DRAM when absent (allocating a directory entry),
-// serializes on the line's busy window, and charges the L2 access. It
-// returns the entry, the line, the advanced time and the wait/off-chip
-// latency components. Without a directory (DLS) it reads the line only:
-// the entry is nil and there is no busy window — the engine's
-// one-transaction-at-a-time execution is the only ordering the single
-// point of coherence needs.
-//
-// Both home-side lookups are accelerated by per-core MRU hints: a core
-// performing word-granular remote accesses walks the same (home, line)
-// transaction back to back, so the home L2 line (cache.Holds) and the
-// directory slot (tileDir.probeHinted) usually validate without a probe.
-// Hints are probe results only — validation failure falls back to the full
-// probes — so behavior is bit-identical with or without them.
-func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cycle) (
+// lookupEntry walks the home slice for la at time t: it fills the L2 from
+// DRAM when absent (allocating a directory entry), serializes on the
+// line's busy window, and charges the L2 access. It returns the entry, the
+// line, the advanced time and the wait/off-chip latency components.
+// Without a directory (DLS) it reads the line only: the entry is nil and
+// there is no busy window — the engine's one-transaction-at-a-time
+// execution is the only ordering the single point of coherence needs.
+func (d *dirProtocol) lookupEntry(home int, la mem.Addr, t mem.Cycle) (
 	entry *dirEntry, l2line *cache.Line, tOut, wait, offchip mem.Cycle) {
 
 	ht := &d.tiles[home]
 	filled := false
-	if hl := c.l2Hint; c.l2HintTile == int32(home) && ht.l2.Holds(hl, la) {
-		l2line = hl
-	} else if l2line = ht.l2.Probe(la); l2line != nil {
-		c.l2Hint, c.l2HintTile = l2line, int32(home)
-	} else {
+	if l2line = ht.l2.Probe(la); l2line == nil {
 		var fillDone mem.Cycle
 		l2line, fillDone = d.l2Fill(home, la, t)
 		offchip = fillDone - t
@@ -277,7 +256,7 @@ func (d *dirProtocol) lookupEntry(c *coreState, home int, la mem.Addr, t mem.Cyc
 		}
 		entry = ht.dir.insert(la)
 	} else {
-		entry = ht.dir.probeHinted(&c.dirHint, home, la)
+		entry = ht.dir.probe(la)
 	}
 	if entry == nil {
 		panic(fmt.Sprintf("sim: data access to instruction line %#x", la))

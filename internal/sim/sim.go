@@ -77,21 +77,6 @@ type coreState struct {
 	bd     stats.TimeBreakdown
 	l1d    stats.MissStats
 
-	// lastL1D is the MRU hint of dataAccess: the L1-D line the core's
-	// previous L1 hit resolved to. Word-granular traces touch the same 64B
-	// line repeatedly, so validating the hint (cache.Holds) skips the tag
-	// scan on those runs. Purely an access-path shortcut — Probe has no
-	// side effects, and a stale hint fails validation and re-probes — so
-	// behavior is bit-identical with or without it.
-	lastL1D *cache.Line
-
-	// Home-side MRU hints for lookupEntry: the directory slot (fast core
-	// only) and home L2 line the core's previous miss transaction resolved
-	// to. See lookupEntry.
-	dirHint    dirSlotHint
-	l2Hint     *cache.Line
-	l2HintTile int32
-
 	l1iHits   uint64
 	l1iMisses uint64
 
@@ -108,8 +93,8 @@ type coreState struct {
 	fetch64   int64   // pending line fetches, in 64ths of a line
 	energy8   int64   // pending energy events, in 8ths of an instruction
 	// l1iResident counts resident code lines; once it reaches
-	// Config.CodeLines the L1-I can no longer miss (l1iWarm) and the fetch
-	// walk short-circuits to hit counting.
+	// Config.CodeLines the L1-I can no longer miss (l1iWarm) and the
+	// fixed-point fetch walk short-circuits to hit counting.
 	l1iResident int
 	l1iWarm     bool
 

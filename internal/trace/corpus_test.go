@@ -103,11 +103,11 @@ func equalSeqs(t *testing.T, name string, got, want []mem.Access) {
 	}
 }
 
-// TestCorpusMatchesLiveStreams pins delivery at the trace layer: for
-// seeded generators, in-memory replay (through both Next and NextChunk,
-// and again on a second view) and spilled replay must deliver exactly the
-// sequence each generator is known to emit.
-func TestCorpusMatchesLiveStreams(t *testing.T) {
+// TestCorpusReplayDeliversGeneratedSequences pins delivery at the trace
+// layer: for seeded generators, in-memory replay (through both Next and
+// NextChunk, and again on a second view) and spilled replay must deliver
+// exactly the sequence each generator is known to emit.
+func TestCorpusReplayDeliversGeneratedSequences(t *testing.T) {
 	const cores, ops = 4, 9000 // >chunkSize ops per core, crosses blocks
 	want := randomSeqs(cores, ops, 42)
 	gens := randomGens(cores, ops, 42)
